@@ -80,43 +80,19 @@ fi
     exit 1
 }
 
-# Parallel-execution gate: the differential suites must hold with the
-# intra-phase executor at explicit thread counts AND with Parallelism::Auto
-# resolving through PARBOUNDS_THREADS — the same knob --threads sets. The
-# suites sweep Fixed{1,2,4,7} internally; the env sweep below additionally
-# pins the Auto path at 1 and 4 workers.
-for threads in 1 4; do
-    PARBOUNDS_THREADS=$threads cargo test --release -q \
-        -p parbounds-models --test fastpath_equiv >/dev/null
-    PARBOUNDS_THREADS=$threads cargo test --release -q \
-        -p parbounds-models --test paged_equiv >/dev/null
-    PARBOUNDS_THREADS=$threads cargo test --release -q \
-        -p parbounds-ir --test batch_equiv >/dev/null
-    PARBOUNDS_THREADS=$threads cargo test --release -q \
-        -p parbounds-ir --test compiled_equiv >/dev/null
-done
-
 # Execution fast-path gate: the reduced hot-path grid (now including the
 # compiled straight-line schedules, whose three-way equality —
 # compiled == interpreted == reference — is part of all_equal) must
-# produce bit-identical results on every path, and every thread-scaling
-# point must match its single-threaded baseline (the binary exits 1 on
-# any divergence). Timing batches each point until the timed region is
-# long enough to measure, so microsecond points are no longer pure noise;
-# the smoke floor of 0.5x is a coarse tripwire against a real dense-path
+# produce bit-identical results on every path (the binary exits 1 on any
+# divergence). Timing batches each point until the timed region is long
+# enough to measure, so microsecond points are no longer pure noise; the
+# smoke floor of 0.5x is a coarse tripwire against a real dense-path
 # regression (the strict >= 1.0x "dense never loses" floor and the
 # compiled >= 1.5x geomean are enforced on the committed full run in
-# BENCH_PR9.json, where reps = 3 makes them stable). The 4-worker scaling
-# floor self-skips ONLY on hosts with < 4 threads (more simulator workers
-# than cores cannot beat wall-clock); on >= 4-thread hosts it binds and
-# must pass.
+# BENCH_PR9.json, where reps = 3 makes them stable).
 cargo run --release -q -p parbounds-bench --bin table_hotpath -- \
-    --smoke --check-floor 0.5 --check-scaling 1.8 \
+    --smoke --check-floor 0.5 \
     --out target/bench_smoke.json > target/hotpath_smoke.log
-# Surface the self-skip so a skipped scaling floor is visible in the ci
-# log rather than silently green (the binary prints the WARNING line only
-# on hosts with < 4 threads, where the floor cannot bind).
-grep "^WARNING: scaling floor skipped" target/hotpath_smoke.log || true
 
 # Memory-ceiling gate: the n = 2^20 family smoke grid must complete under
 # a hard 400 MB peak-heap ceiling with the counting allocator registered

@@ -128,8 +128,7 @@ pub fn audit_parity_program<P, F>(
     r: usize,
 ) -> Result<ParityAuditReport>
 where
-    P: GsmProgram + Sync,
-    P::Proc: Send,
+    P: GsmProgram,
     F: Fn() -> P,
 {
     assert!(r <= 16, "exhaustive audit limited to r <= 16 inputs");

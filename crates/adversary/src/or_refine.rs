@@ -141,8 +141,7 @@ impl OrRefine {
         threshold: u64,
     ) -> Result<Self>
     where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
+        P: GsmProgram,
         F: Fn() -> P,
     {
         assert!(r <= 12);

@@ -177,8 +177,7 @@ impl GsmRefine {
     /// Precomputes the exhaustive tables for `make_program` on `machine`.
     pub fn build<P, F>(machine: &GsmMachine, make_program: F, r: usize) -> Result<Self>
     where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
+        P: GsmProgram,
         F: Fn() -> P,
     {
         assert!(r <= 10, "exhaustive REFINE limited to r <= 10");

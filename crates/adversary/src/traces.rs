@@ -47,8 +47,7 @@ impl TraceEnsemble {
     /// `r ≤ 12` keeps this exhaustive step tractable.
     pub fn build<P, F>(machine: &GsmMachine, make_program: F, r: usize) -> Result<Self>
     where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
+        P: GsmProgram,
         F: Fn() -> P,
     {
         assert!(r <= 12, "exhaustive ensemble limited to r <= 12");
@@ -248,15 +247,11 @@ impl TraceEnsemble {
     /// vector at `t - 1` for the key after `t` completed phases (vectors
     /// may be shorter than the run for entities that stop changing; the
     /// last entry is the stable key, matching [`TraceEnsemble::trace_key`]).
-    pub fn single_run_keys<P>(
+    pub fn single_run_keys<P: GsmProgram>(
         machine: &GsmMachine,
         prog: &P,
         input: &[Word],
-    ) -> Result<HashMap<Entity, Vec<u64>>>
-    where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
-    {
+    ) -> Result<HashMap<Entity, Vec<u64>>> {
         let (_, trace) = machine.run_traced(prog, input)?;
         let mut cells = Vec::new();
         Ok(Self::keys_of(

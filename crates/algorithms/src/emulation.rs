@@ -234,16 +234,12 @@ impl<P: Program> BspProgram for EmulatorProg<'_, P> {
 /// let out = emulate_qsm_on_bsp(&bsp, &probe, &prog, &[7, 8, 9]).unwrap();
 /// assert_eq!([out.get(10), out.get(11), out.get(12)], [7, 8, 9]);
 /// ```
-pub fn emulate_qsm_on_bsp<P>(
+pub fn emulate_qsm_on_bsp<P: Program>(
     bsp: &BspMachine,
     probe: &QsmMachine,
     program: &P,
     input: &[Word],
-) -> Result<EmulationOutcome>
-where
-    P: Program + Sync,
-    P::Proc: Send,
-{
+) -> Result<EmulationOutcome> {
     let reference = probe.run(program, input)?;
     let total_phases = reference.phases();
     let prog = EmulatorProg {

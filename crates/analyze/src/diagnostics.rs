@@ -96,13 +96,6 @@ pub enum Rule {
     /// model. The plan still runs correctly on the checked interpreter —
     /// it just keeps paying per-phase routing and arbitration.
     CompileIneligible,
-    /// The plan declares fewer processors than the host threads requested
-    /// for intra-phase parallel execution. Worker `w` owns the `w`-th
-    /// contiguous pid range, so extra workers own *empty* ranges: they are
-    /// spawned, handed zero entries per phase, and pay two channel hops
-    /// per barrier for nothing. The run stays bit-identical — it just
-    /// cannot speed up past one thread per simulated processor.
-    ParallelUnderfill,
 }
 
 impl Rule {
@@ -121,8 +114,7 @@ impl Rule {
             | Rule::UnconsumedWrite
             | Rule::DeadPhase
             | Rule::TruncatedTrace
-            | Rule::CompileIneligible
-            | Rule::ParallelUnderfill => Severity::Warning,
+            | Rule::CompileIneligible => Severity::Warning,
         }
     }
 
@@ -142,7 +134,6 @@ impl Rule {
             Rule::BoundRegression => "bound-regression",
             Rule::AuditGap => "audit-gap",
             Rule::CompileIneligible => "compile-ineligible",
-            Rule::ParallelUnderfill => "parallel-underfill",
         }
     }
 }

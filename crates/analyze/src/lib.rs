@@ -59,9 +59,9 @@ pub use lints::{
 pub use race::{detect_races_qsm, detect_races_with, Probe, RaceConfig, RaceReport, RaceWitness};
 pub use statics::{
     analyze_plan, analyze_static_all, analyze_static_family, certify_writes, cross_validate,
-    ir_family_plan, lint_compile, lint_parallelism, lint_plan, predict_ledger, predict_ledger_with,
-    CrossValidation, StaticAnalysis, StaticFamilyReport, StaticRaceWitness, StaticReport,
-    WriteCertificate, IR_FAMILIES,
+    ir_family_plan, lint_compile, lint_plan, predict_ledger, predict_ledger_with, CrossValidation,
+    StaticAnalysis, StaticFamilyReport, StaticRaceWitness, StaticReport, WriteCertificate,
+    IR_FAMILIES,
 };
 pub use suite::{analyze_all, analyze_family, AnalysisReport, FamilyReport, SuiteConfig, FAMILIES};
 pub use symbolic::{

@@ -237,17 +237,13 @@ pub fn detect_races_with(
 ///
 /// On divergence the witness is enriched with the contending processor
 /// ids via one traced replay under the divergent policy.
-pub fn detect_races_qsm<P>(
+pub fn detect_races_qsm<P: Program>(
     machine: &QsmMachine,
     program: &P,
     input: &[Word],
     observe: Range<Addr>,
     cfg: &RaceConfig,
-) -> Result<RaceReport>
-where
-    P: Program + Sync,
-    P::Proc: Send,
-{
+) -> Result<RaceReport> {
     let mut report = detect_races_with(cfg, |plan| {
         let m = machine.clone().with_faults(plan.clone());
         let res = m.run(program, input)?;
@@ -282,7 +278,7 @@ mod tests {
 
     /// Every processor writes its own pid to cell 0: a textbook race —
     /// the observable output is whatever writer the arbiter picks.
-    fn racy_program(p: usize) -> impl Program<Proc = ()> + Sync {
+    fn racy_program(p: usize) -> impl Program<Proc = ()> {
         FnProgram::new(
             p,
             |_pid| (),
@@ -295,7 +291,7 @@ mod tests {
 
     /// Every processor writes the SAME value to cell 0: concurrent but
     /// confluent, so arbitration cannot be observed.
-    fn confluent_program(p: usize) -> impl Program<Proc = ()> + Sync {
+    fn confluent_program(p: usize) -> impl Program<Proc = ()> {
         FnProgram::new(
             p,
             |_pid| (),

@@ -84,17 +84,6 @@ pub fn dead_phase(label: &str) -> String {
     )
 }
 
-/// [`Rule::ParallelUnderfill`](crate::diagnostics::Rule::ParallelUnderfill):
-/// more host worker threads requested than the plan has processors.
-pub fn parallel_underfill(procs: usize, workers: usize) -> String {
-    format!(
-        "plan has {procs} processor(s) but {workers} host worker thread(s) \
-         were requested — {unused} shard(s) stay empty every phase; \
-         parallel speedup is capped at {procs} thread(s)",
-        unused = workers.saturating_sub(procs)
-    )
-}
-
 /// [`Rule::CompileIneligible`](crate::diagnostics::Rule::CompileIneligible):
 /// a node blocks the compiled straight-line fast path; `node` names it and
 /// `reason` quotes the violated eligibility rule.

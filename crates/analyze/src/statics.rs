@@ -482,33 +482,6 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
     Ok(diags)
 }
 
-/// Checks whether a plan is large enough to feed the requested intra-phase
-/// parallelism ([`Parallelism`](parbounds_models::Parallelism)).
-///
-/// The parallel executor shards processors into contiguous pid ranges,
-/// one per host worker, so a plan with fewer processors than requested
-/// workers leaves `workers - procs` shards empty in *every* phase: the
-/// run is still bit-identical, but the extra threads only pay barrier
-/// overhead. Emits a single [`Rule::ParallelUnderfill`] warning anchored
-/// at phase 0 when that happens, nothing otherwise.
-pub fn lint_parallelism(plan: &PhasePlan, workers: usize) -> Result<Vec<Diagnostic>> {
-    plan.validate()?;
-    let mut diags = Vec::new();
-    if workers > plan.procs {
-        diags.push(Diagnostic::new(
-            Rule::ParallelUnderfill,
-            Location {
-                model: plan.model.name(),
-                phase: 0,
-                pid: None,
-                addr: None,
-            },
-            rules::parallel_underfill(plan.procs, workers),
-        ));
-    }
-    Ok(diags)
-}
-
 /// Statics handoff to the plan compiler: decides whether `plan` can take
 /// the compiled straight-line fast path (`ir::compile`) and, if not,
 /// reports the first offending node as a [`Rule::CompileIneligible`]
@@ -641,7 +614,7 @@ impl StaticFamilyReport {
 /// Builds the plan (and a matching input) for one named [`IR_FAMILIES`]
 /// entry at problem size `n` (floored to 8). This is the same registry
 /// [`analyze_static_family`] analyzes; it is public so callers (e.g. the
-/// CLI) can run additional plan-level lints such as [`lint_parallelism`]
+/// CLI) can run additional plan-level lints such as [`lint_compile`]
 /// without re-deriving the Section 8 schedules.
 pub fn ir_family_plan(
     family: &str,
@@ -924,22 +897,6 @@ mod tests {
         // Cell 11 is outside the declared output [10, 11) and never read.
         assert!(rules_hit.contains(&Rule::UnconsumedWrite));
         assert_eq!(diags.len(), 3);
-    }
-
-    #[test]
-    fn parallelism_lint_flags_undersized_plans_only() {
-        let (plan, _) = or_write_tree_plan(16, 2);
-        assert!(lint_parallelism(&plan, 1).unwrap().is_empty());
-        assert!(lint_parallelism(&plan, plan.procs).unwrap().is_empty());
-        let diags = lint_parallelism(&plan, plan.procs + 3).unwrap();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::ParallelUnderfill);
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert!(
-            diags[0].message.contains("3 shard(s) stay empty"),
-            "{}",
-            diags[0].message
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use parbounds_models::{FnProgram, PhaseEnv, QsmMachine, Status, Word};
 use proptest::prelude::*;
 
 /// `p` processors race to write distinct values into cell 0.
-fn racy_program(p: usize) -> impl parbounds_models::Program<Proc = ()> + Sync {
+fn racy_program(p: usize) -> impl parbounds_models::Program<Proc = ()> {
     FnProgram::new(
         p,
         |_pid| (),

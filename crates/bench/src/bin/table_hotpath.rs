@@ -2,29 +2,22 @@
 
 //! Wall-clock benchmark of the execution fast paths: dense request
 //! routing + arena reuse in the QSM/s-QSM/GSM/BSP engines and the IR batch
-//! interpreter against the reference (pre-fast-path) engines, plus the
-//! intra-phase thread-scaling curve of the parallel executor, on the
+//! interpreter against the reference (pre-fast-path) engines, on the
 //! Section 8 workloads.
 //!
 //! ```text
 //! cargo run --release -p parbounds-bench --bin table_hotpath -- \
 //!     [--smoke] [--out BENCH_PR5.json] [--threads N] \
-//!     [--check-speedup X] [--check-compiled X] [--check-floor X] \
-//!     [--check-scaling X]
+//!     [--check-speedup X] [--check-compiled X] [--check-floor X]
 //! ```
 //!
 //! Exits nonzero if any point's dense run disagrees with its reference run
-//! or any scaling run disagrees with its single-threaded baseline (the
-//! equivalence gates); if `--check-speedup X` is given and the
+//! (the equivalence gate); if `--check-speedup X` is given and the
 //! geometric-mean speedup on the largest-`n` sweep falls below `X`; if
 //! `--check-compiled X` is given and the compiled-suite geomean at the
-//! largest `n` falls below `X`; if `--check-floor X` is given and ANY
+//! largest `n` falls below `X`; or if `--check-floor X` is given and ANY
 //! point of any suite or size comes in below `X` — the "dense never
-//! loses to reference" assertion; or if `--check-scaling X` is given,
-//! the host has at least 4 threads, and the 4-worker scaling geomean
-//! falls below `X` (on hosts with fewer than 4 threads the scaling floor
-//! is skipped — more simulator workers than cores cannot show wall-clock
-//! speedup).
+//! loses to reference" assertion.
 
 use parbounds_bench::hotpath::{default_ns, run_grid, smoke_ns};
 use parbounds_bench::init_threads_from_cli;
@@ -39,7 +32,6 @@ fn main() {
     let mut check_speedup: Option<f64> = None;
     let mut check_compiled: Option<f64> = None;
     let mut check_floor: Option<f64> = None;
-    let mut check_scaling: Option<f64> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -67,14 +59,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--check-floor needs a number"));
                 check_floor = Some(v.parse().unwrap_or_else(|_| {
                     usage("--check-floor expects a number");
-                }));
-            }
-            "--check-scaling" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--check-scaling needs a number"));
-                check_scaling = Some(v.parse().unwrap_or_else(|_| {
-                    usage("--check-scaling expects a number");
                 }));
             }
             other => usage(&format!("unknown argument: {other}")),
@@ -129,43 +113,6 @@ fn main() {
         );
     }
 
-    if !report.scaling.is_empty() {
-        println!();
-        println!(
-            "thread scaling (intra-phase parallel executor, host_threads = {}):",
-            report.host_threads
-        );
-        println!(
-            "{:<6} {:<18} {:>8} {:>8} | {:>12} {:>8} | equal",
-            "engine", "workload", "n", "threads", "seconds", "vs 1thr"
-        );
-        println!("{}", "-".repeat(78));
-        for p in &report.scaling {
-            let base = report
-                .scaling
-                .iter()
-                .find(|b| {
-                    b.threads == 1 && b.engine == p.engine && b.workload == p.workload && b.n == p.n
-                })
-                .map(|b| b.seconds / p.seconds.max(1e-12));
-            println!(
-                "{:<6} {:<18} {:>8} {:>8} | {:>12.6} {:>8} | {}",
-                p.engine,
-                p.workload,
-                p.n,
-                p.threads,
-                p.seconds,
-                base.map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".into()),
-                if p.equal { "yes" } else { "NO" }
-            );
-        }
-        println!(
-            "4-thread scaling geomean: {:.2}x",
-            report.scaling_geomean(4)
-        );
-    }
-
     if let Some(path) = out {
         std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
@@ -203,31 +150,13 @@ fn main() {
             }
         }
     }
-    if let Some(x) = check_scaling {
-        if report.host_threads < 4 {
-            // Grep-able marker: ci.sh surfaces this line so a skipped
-            // scaling gate is visible in the log, not silently green.
-            println!(
-                "WARNING: scaling floor skipped: host has only {} thread(s) \
-                 (4 simulator workers cannot beat wall-clock on fewer cores)",
-                report.host_threads
-            );
-        } else {
-            let got = report.scaling_geomean(4);
-            if got < x {
-                eprintln!("FAIL: 4-thread scaling geomean {got:.2}x < required {x:.2}x");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: table_hotpath [--smoke] [--out PATH] [--threads N] \
-         [--check-speedup X] [--check-compiled X] [--check-floor X] \
-         [--check-scaling X]"
+         [--check-speedup X] [--check-compiled X] [--check-floor X]"
     );
     std::process::exit(2);
 }

@@ -38,8 +38,8 @@ use parbounds::ir::{
     PhasePlan,
 };
 use parbounds::models::{
-    BspFnProgram, BspMachine, FnProgram, GsmEnv, GsmFnProgram, GsmMachine, Parallelism, PhaseEnv,
-    Program, QsmMachine, Routing, Status, Superstep, Word,
+    BspFnProgram, BspMachine, FnProgram, GsmEnv, GsmFnProgram, GsmMachine, PhaseEnv, Program,
+    QsmMachine, Routing, Status, Superstep, Word,
 };
 use parbounds::tables::Problem;
 use parbounds::{bsp_time_row_on_input, qsm_time_row_on_input, row_input, sqsm_time_row_on_input};
@@ -75,37 +75,13 @@ impl HotPoint {
     }
 }
 
-/// One thread-scaling measurement: a hot workload at size `n` executed
-/// with the intra-phase parallel executor ([`Parallelism::Fixed`]) at a
-/// given host worker count. The `threads == 1` point of each
-/// (engine, workload, n) group is the baseline its siblings are scaled
-/// against.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Engine exercised.
-    pub engine: &'static str,
-    /// Workload name.
-    pub workload: String,
-    /// Input size.
-    pub n: usize,
-    /// Host worker threads the run used.
-    pub threads: usize,
-    /// Best-of-reps wall-clock, seconds.
-    pub seconds: f64,
-    /// Whether the run's observable state matched the single-threaded run.
-    pub equal: bool,
-}
-
 /// The full benchmark result: every grid point plus run configuration.
 #[derive(Debug, Clone)]
 pub struct HotReport {
     /// Benchmarked points.
     pub points: Vec<HotPoint>,
-    /// Thread-scaling curve of the hot workloads (largest grid size only).
-    pub scaling: Vec<ScalePoint>,
-    /// Host threads available when the report was produced — scaling
-    /// numbers measured with more workers than host threads cannot show
-    /// speedup, so consumers must gate on this.
+    /// Host threads available when the report was produced (the width
+    /// the grid points sweep across; see [`crate::par_sweep`]).
     pub host_threads: usize,
     /// Repetitions per point (best-of).
     pub reps: u32,
@@ -163,29 +139,9 @@ impl HotReport {
             .min_by(|a, b| a.0.total_cmp(&b.0))
     }
 
-    /// True when every point's dense run matched its reference run and
-    /// every scaling point matched its single-threaded baseline.
+    /// True when every point's dense run matched its reference run.
     pub fn all_equal(&self) -> bool {
-        self.points.iter().all(|p| p.equal) && self.scaling.iter().all(|p| p.equal)
-    }
-
-    /// Geometric-mean wall-clock speedup of the `threads`-worker scaling
-    /// points over their single-threaded baselines (same engine, workload
-    /// and size). 1.0 when no such points exist.
-    pub fn scaling_geomean(&self, threads: usize) -> f64 {
-        let mut ratios = Vec::new();
-        for p in self.scaling.iter().filter(|p| p.threads == threads) {
-            let base = self.scaling.iter().find(|b| {
-                b.threads == 1 && b.engine == p.engine && b.workload == p.workload && b.n == p.n
-            });
-            if let Some(b) = base {
-                ratios.push(b.seconds / p.seconds.max(1e-12));
-            }
-        }
-        if ratios.is_empty() {
-            return 1.0;
-        }
-        (ratios.iter().map(|s| s.ln()).sum::<f64>() / ratios.len() as f64).exp()
+        self.points.iter().all(|p| p.equal)
     }
 
     /// Renders the report as JSON (hand-rolled: the workspace carries no
@@ -214,10 +170,6 @@ impl HotReport {
         ));
         s.push_str(&format!("  \"all_equal\": {},\n", self.all_equal()));
         s.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
-        s.push_str(&format!(
-            "  \"scaling_geomean_at_4_threads\": {:.4},\n",
-            self.scaling_geomean(4)
-        ));
         s.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             // Microsecond-scale smoke rows round to "0.000000" at fixed
@@ -241,22 +193,6 @@ impl HotReport {
                 p.speedup(),
                 p.equal,
                 if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"thread_scaling\": [\n");
-        for (i, p) in self.scaling.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"workload\": \"{}\", \"n\": {}, \
-                 \"threads\": {}, \"seconds\": {:.6}, \"nanos\": {}, \"equal\": {}}}{}\n",
-                p.engine,
-                p.workload,
-                p.n,
-                p.threads,
-                p.seconds,
-                whole_ns(p.seconds),
-                p.equal,
-                if i + 1 < self.scaling.len() { "," } else { "" }
             ));
         }
         s.push_str("  ]\n}\n");
@@ -300,16 +236,6 @@ fn timed_batch<T>(batch: u64, f: &mut impl FnMut() -> T, out: &mut T) -> f64 {
         *out = f();
     }
     t0.elapsed().as_secs_f64() / batch as f64
-}
-
-/// Times `f` (seconds per call, best of `reps`), carrying its result out.
-fn best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let (batch, mut out) = calibrate(&mut f);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        best = best.min(timed_batch(batch, &mut f, &mut out));
-    }
-    (best, out)
 }
 
 /// Times a dense/reference pair over **alternating** batches, keeping the
@@ -708,8 +634,7 @@ fn run_spec(spec: Spec, reps: u32) -> HotPoint {
         }
         Spec::IrcWriteTree(n, g) => {
             // All-ones input saturates every guard, so the guarded-store
-            // machinery (the part the sharded apply must merge) is fully
-            // exercised, not skipped.
+            // machinery is fully exercised, not skipped.
             let plan = fan_in_write_tree(n, 4, ModelKind::Qsm { g });
             let input: Vec<Word> = vec![1; n.max(1)];
             run_compiled_spec(
@@ -724,133 +649,9 @@ fn run_spec(spec: Spec, reps: u32) -> HotPoint {
     }
 }
 
-/// Thread counts the scaling sweep measures; `1` is the baseline.
-pub const SCALING_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Runs the thread-scaling sweep: the hot engine workloads at size `n`,
-/// once per entry of [`SCALING_THREADS`], timed best-of-`reps`. Runs
-/// strictly serially (each measured run is itself multi-threaded, so a
-/// parallel sweep would let the points steal cores from each other) and
-/// cross-checks every run's observable state against the single-threaded
-/// baseline — a scaling curve over runs that computed different things
-/// would be meaningless.
-fn run_scaling(n: usize, reps: u32) -> Vec<ScalePoint> {
-    let mut out = Vec::new();
-
-    let input: Vec<Word> = (0..n as Word).collect();
-    for (engine, machine) in [("QSM", QsmMachine::qsm(4)), ("s-QSM", QsmMachine::sqsm(4))] {
-        let prog = scatter_program(n);
-        let machine = machine
-            .with_routing(Routing::Dense)
-            .with_mem_limit(2 * n + 16);
-        let base = machine.run(&prog, &input);
-        for &threads in &SCALING_THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let (s, r) = best_of(reps, || par.run(&prog, &input));
-            out.push(ScalePoint {
-                engine,
-                workload: "scatter/8x2rw".into(),
-                n,
-                threads,
-                seconds: s,
-                equal: matches!(
-                    (&base, &r),
-                    (Ok(b), Ok(v)) if b.ledger == v.ledger && b.memory == v.memory
-                ),
-            });
-        }
-    }
-
-    {
-        let prog = gsm_scatter_program(n);
-        let machine = GsmMachine::new(1, 2, 1).with_routing(Routing::Dense);
-        let base = machine.run(&prog, &input);
-        for &threads in &SCALING_THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let (s, r) = best_of(reps, || par.run(&prog, &input));
-            out.push(ScalePoint {
-                engine: "GSM",
-                workload: "scatter/8x2rw".into(),
-                n,
-                threads,
-                seconds: s,
-                equal: matches!(
-                    (&base, &r),
-                    (Ok(b), Ok(v)) if b.ledger == v.ledger && b.memory == v.memory
-                ),
-            });
-        }
-    }
-
-    {
-        let p = bsp_p(n);
-        let prog = exchange_program(p);
-        let input: Vec<Word> = (0..(p * 4) as Word).collect();
-        let machine = BspMachine::new(p, 2, 16)
-            .expect("valid BSP config")
-            .with_routing(Routing::Dense);
-        let base = machine.run(&prog, &input);
-        for &threads in &SCALING_THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let (s, r) = best_of(reps, || par.run(&prog, &input));
-            out.push(ScalePoint {
-                engine: "BSP",
-                workload: format!("exchange/p={p}"),
-                n,
-                threads,
-                seconds: s,
-                equal: matches!(
-                    (&base, &r),
-                    (Ok(b), Ok(v)) if b.ledger == v.ledger && b.states == v.states
-                ),
-            });
-        }
-    }
-
-    {
-        // The compiled executor's sharded apply stage: a dense prefix sweep
-        // lowered once, then run at each worker count. The baseline is the
-        // sequential straight-line loop; every multi-threaded run must be
-        // bit-identical to it.
-        let plan = prefix_sweep(n, 4, CombineOp::Sum, ModelKind::Qsm { g: 2 });
-        let input: Vec<Word> = (0..n as Word).collect();
-        let compiled = match compile_plan(&plan) {
-            Ok(CompileOutcome::Compiled(c)) => c,
-            other => panic!("prefix sweep must compile, got {other:?}"),
-        };
-        let machine = QsmMachine::qsm(2);
-        let base = run_compiled_batch(&plan, &compiled, &machine, &input);
-        for &threads in &SCALING_THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let (s, r) = best_of(reps, || run_compiled_batch(&plan, &compiled, &par, &input));
-            out.push(ScalePoint {
-                engine: "IR",
-                workload: "compiled_prefix/g=2".into(),
-                n,
-                threads,
-                seconds: s,
-                equal: matches!((&base, &r), (Ok(b), Ok(v)) if b == v),
-            });
-        }
-    }
-
-    out
-}
-
 /// Runs the full grid: every engine × workload at every `n` in `ns`, each
-/// timed best-of-`reps` on both paths, plus the thread-scaling sweep at
-/// the largest `n`. Dense-vs-reference points sweep in parallel (see
-/// [`crate::par_sweep`]); each individual timing is single-threaded. The
-/// scaling sweep runs serially afterwards, since its runs are themselves
-/// multi-threaded.
+/// timed best-of-`reps` on both paths. Points sweep in parallel (see
+/// [`crate::par_sweep`]); each individual timing is single-threaded.
 pub fn run_grid(ns: &[usize], reps: u32, smoke: bool) -> HotReport {
     let mut specs = Vec::new();
     for &n in ns {
@@ -870,17 +671,8 @@ pub fn run_grid(ns: &[usize], reps: u32, smoke: bool) -> HotReport {
         }
     }
     let points = par_sweep(&specs, |&spec| run_spec(spec, reps));
-    // The scaling sweep needs enough work per phase for the shard/merge
-    // machinery to amortize, so its size is floored at 4096 even on the
-    // smoke grid — otherwise the curve measures channel overhead, not the
-    // compute stage.
-    let scaling = match ns.iter().max() {
-        Some(&n) => run_scaling(n.max(4096), reps),
-        None => Vec::new(),
-    };
     HotReport {
         points,
-        scaling,
         host_threads: std::thread::available_parallelism()
             .map(|v| v.get())
             .unwrap_or(1),
@@ -922,21 +714,11 @@ mod tests {
             .iter()
             .any(|p| p.suite == "compiled" && p.equal));
         assert!(report.largest_n_compiled_geomean_speedup() > 0.0);
-        // Thread-scaling curve: four engines plus the compiled prefix
-        // sweep × SCALING_THREADS, all bit-identical to the
-        // single-threaded baseline.
-        assert_eq!(report.scaling.len(), 5 * SCALING_THREADS.len());
-        assert!(report
-            .scaling
-            .iter()
-            .any(|p| p.workload == "compiled_prefix/g=2"));
         assert!(report.host_threads >= 1);
-        assert!(report.scaling_geomean(1) > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"table_hotpath\""));
         assert!(json.contains("\"all_equal\": true"));
         assert!(json.contains("\"compiled_geomean_speedup\""));
         assert!(json.contains("\"host_threads\""));
-        assert!(json.contains("\"thread_scaling\""));
     }
 }

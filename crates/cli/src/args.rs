@@ -2,14 +2,16 @@
 //! after a subcommand) — no external dependency needed for a handful of
 //! subcommands.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: subcommand plus `--key value` flags.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    flags: HashMap<String, String>,
+    /// Sorted by key, so [`Args::assert_known`] reports the same unknown
+    /// flag on every run.
+    flags: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -17,7 +19,7 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(input: I) -> Result<Args, String> {
         let mut it = input.into_iter().peekable();
         let command = it.next().unwrap_or_default();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
@@ -70,7 +72,8 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
-    /// Flags the caller never consumed (likely typos).
+    /// Flags the caller never consumed (likely typos). Of several unknown
+    /// flags, the alphabetically first is reported.
     pub fn assert_known(&self, known: &[&str]) -> Result<(), String> {
         for k in self.flags.keys() {
             if !known.contains(&k.as_str()) {
@@ -122,6 +125,11 @@ mod tests {
         assert!(a.assert_known(&["n", "g"]).is_err());
         let a = parse("run --n 4").unwrap();
         assert!(a.assert_known(&["n", "g"]).is_ok());
+        let a = parse("run --zeta 1 --n 4 --bogus 2").unwrap();
+        assert_eq!(
+            a.assert_known(&["n", "g"]).unwrap_err(),
+            r#"unknown flag --bogus (expected one of ["n", "g"])"#
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ```text
 //! parbounds tables    [--n N --g G --l L --p P]
 //! parbounds run       --problem parity|or|lac --model qsm|sqsm|qsm-cr|gsm|bsp [--reference]
-//!                     [--n N --g G --l L --p P --seed S --parallel K --compiled]
+//!                     [--n N --g G --l L --p P --seed S --compiled]
 //! parbounds audit     [--r R --alpha A --beta B]
 //! parbounds audit     --symbolic [--all | --family F] [--n N --list]
 //! parbounds audit     --symbolic --mc [--family F --n N --seed S --samples K]
@@ -14,8 +14,7 @@
 //! parbounds emulate   [--n N --p P --g G --l L]
 //! parbounds faults    [--n N --seed S]
 //! parbounds lint      [--all | --family F] [--n N --seed S --list]
-//! parbounds analyze   --static [--all | --family F] [--n N --seed S --list --parallel K
-//!                     --compiled]
+//! parbounds analyze   --static [--all | --family F] [--n N --seed S --list --compiled]
 //! parbounds analyze   --symbolic [--all | --family F] [--n N --list]
 //! parbounds serve     [--addr HOST:PORT | --stdio] [--workers K --queue-cap Q
 //!                     --deadline-ms D --budget B --cache-cap C]
@@ -35,8 +34,7 @@ use parbounds::adversary::{
 };
 use parbounds::algo::{bsp_algos, emulation, gsm_algos, lac, or_tree, parity, reduce, workloads};
 use parbounds::models::{
-    BspMachine, GsmEnv, GsmFnProgram, GsmMachine, GsmProgram, ModelError, Parallelism, QsmMachine,
-    Status, Word,
+    BspMachine, GsmEnv, GsmFnProgram, GsmMachine, GsmProgram, ModelError, QsmMachine, Status, Word,
 };
 use parbounds::tables::{
     best_lower_bound, render_rounds_table, render_time_table, upper_bound_time, Metric, Mode,
@@ -60,7 +58,7 @@ fn usage() -> &'static str {
     "usage:
   parbounds tables    [--n N --g G --l L --p P]
   parbounds run       --problem parity|or|lac --model qsm|sqsm|qsm-cr|gsm|bsp \\
-                      [--n N --g G --l L --p P --seed S --reference --parallel K --compiled]
+                      [--n N --g G --l L --p P --seed S --reference --compiled]
   parbounds audit     [--r R --alpha A --beta B]
   parbounds audit     --symbolic [--all | --family F] [--n N --list]
   parbounds audit     --symbolic --mc [--family F --n N --seed S --samples K]
@@ -70,8 +68,7 @@ fn usage() -> &'static str {
   parbounds emulate   [--n N --p P --g G --l L]
   parbounds faults    [--n N --seed S]
   parbounds lint      [--all | --family F] [--n N --seed S --list]
-  parbounds analyze   --static [--all | --family F] [--n N --seed S --list --parallel K \\
-                      --compiled]
+  parbounds analyze   --static [--all | --family F] [--n N --seed S --list --compiled]
   parbounds analyze   --symbolic [--all | --family F] [--n N --list]
   parbounds serve     [--addr HOST:PORT | --stdio] [--workers K --queue-cap Q \\
                       --deadline-ms D --budget B --cache-cap C]
@@ -119,27 +116,6 @@ fn cmd_tables(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves the `--parallel K` flag for `parbounds run`. `0` (the default)
-/// keeps the single-threaded dense path. Combining `--parallel` with
-/// `--reference` is rejected with a typed [`ModelError::BadConfig`]: the
-/// reference engines *are* the single-threaded executable spec, so there
-/// is no parallel variant of them to run.
-fn run_parallelism(threads: usize, reference: bool) -> Result<Parallelism, String> {
-    if threads > 0 && reference {
-        return Err(ModelError::BadConfig(
-            "--parallel cannot be combined with --reference: the reference \
-             engines are the single-threaded executable spec"
-                .into(),
-        )
-        .to_string());
-    }
-    Ok(if threads > 0 {
-        Parallelism::Fixed(threads)
-    } else {
-        Parallelism::Off
-    })
-}
-
 /// Resolves the `--compiled` flag for `parbounds run`. Combining
 /// `--compiled` with `--reference` is rejected with a typed
 /// [`ModelError::BadConfig`]: the reference engines specify exactly the
@@ -161,21 +137,19 @@ fn run_compiled_flag(flag: bool, reference: bool) -> Result<bool, String> {
 }
 
 /// Machine-grid knobs a `run --compiled` invocation carries to the plan
-/// builders: input size, gap/latency/processor parameters, workload seed
-/// and the intra-phase parallelism the executor shards with.
+/// builders: input size, gap/latency/processor parameters and workload
+/// seed.
 struct CompiledRunCfg {
     n: usize,
     g: u64,
     l: u64,
     p: usize,
     seed: u64,
-    parallelism: Parallelism,
 }
 
 /// `parbounds run --compiled`: lifts the `(problem, model)` pair onto its
 /// PhaseIR family, compiles the plan to a straight-line schedule
-/// (`ir::compile`), and runs it — honoring `--parallel K` through the
-/// sharded-apply executor. Pairs without a PhaseIR lift are a typed
+/// (`ir::compile`), and runs it. Pairs without a PhaseIR lift are a typed
 /// `BadConfig`.
 fn run_compiled_lift(
     problem: &str,
@@ -188,14 +162,7 @@ fn run_compiled_lift(
         run_compiled_msg_batch, CombineOp, CompileOutcome, ModelKind, PhasePlan,
     };
 
-    let &CompiledRunCfg {
-        n,
-        g,
-        l,
-        p,
-        seed,
-        parallelism,
-    } = cfg;
+    let &CompiledRunCfg { n, g, l, p, seed } = cfg;
     let bsp_k = ((l / g.max(1)) as usize).max(2);
     let (plan, algo): (PhasePlan, &'static str) = match (problem, model) {
         ("parity", "sqsm") => (
@@ -238,17 +205,14 @@ fn run_compiled_lift(
     };
     let bits = workloads::random_bits(n, seed);
     let run = if let ModelKind::Bsp { p, g, l } = plan.model {
-        let m = BspMachine::new(p, g, l)
-            .map_err(|e| e.to_string())?
-            .with_parallelism(parallelism);
+        let m = BspMachine::new(p, g, l).map_err(|e| e.to_string())?;
         run_compiled_msg_batch(&plan, &cp, &m, &bits).map_err(|e| e.to_string())?
     } else {
         let m = match plan.model {
             ModelKind::Qsm { g } => QsmMachine::qsm(g),
             ModelKind::SQsm { g } => QsmMachine::sqsm(g),
             _ => unreachable!("compiled lifts are QSM/s-QSM/BSP"),
-        }
-        .with_parallelism(parallelism);
+        };
         run_compiled_batch(&plan, &cp, &m, &bits).map_err(|e| e.to_string())?
     };
     let value = run.output.first().copied().unwrap_or(0);
@@ -270,7 +234,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "p",
         "seed",
         "reference",
-        "parallel",
         "compiled",
     ])?;
     let n = args.usize("n", 4096)?;
@@ -284,15 +247,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // executable spec of the dense routing tables) — results are identical,
     // only wall-clock differs; useful for quick A/B sanity checks.
     let reference = args.flag("reference");
-    // `--parallel K` shards the inside of every phase across K host worker
-    // threads; results stay bit-identical to the single-threaded path.
-    let threads = args.usize("parallel", 0)?;
-    let parallelism = run_parallelism(threads, reference)?;
     // `--compiled` runs the problem's PhaseIR lift through the plan
     // compiler instead of the closure-dispatch algorithms.
     let compiled = run_compiled_flag(args.flag("compiled"), reference)?;
     let qsm = |m: QsmMachine| {
-        let m = m.with_parallelism(parallelism);
         if reference {
             m.with_reference_routing()
         } else {
@@ -300,7 +258,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     };
     let gsm = |m: GsmMachine| {
-        let m = m.with_parallelism(parallelism);
         if reference {
             m.with_reference_routing()
         } else {
@@ -308,7 +265,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     };
     let bsp = |m: BspMachine| {
-        let m = m.with_parallelism(parallelism);
         if reference {
             m.with_reference_routing()
         } else {
@@ -323,14 +279,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         run_compiled_lift(
             problem.as_str(),
             model.as_str(),
-            &CompiledRunCfg {
-                n,
-                g,
-                l,
-                p,
-                seed,
-                parallelism,
-            },
+            &CompiledRunCfg { n, g, l, p, seed },
         )?
     } else {
         match (problem.as_str(), model.as_str()) {
@@ -453,9 +402,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             "dense"
         }
     );
-    if threads > 0 {
-        println!("parallel  : {threads} host worker thread(s)");
-    }
     println!("result    : {value}");
     println!("model time: {time}   phases/supersteps: {phases}");
 
@@ -547,11 +493,11 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     args.assert_known(&[
-        "static", "symbolic", "all", "family", "n", "seed", "list", "parallel", "compiled",
+        "static", "symbolic", "all", "family", "n", "seed", "list", "compiled",
     ])?;
     use parbounds::analyze::{
-        analyze_static_all, analyze_static_family, ir_family_plan, lint_compile, lint_parallelism,
-        StaticReport, IR_FAMILIES,
+        analyze_static_all, analyze_static_family, ir_family_plan, lint_compile, StaticReport,
+        IR_FAMILIES,
     };
     use parbounds::tables::{render_static_table, StaticRow};
 
@@ -601,26 +547,6 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         })
         .collect();
     print!("{}", render_static_table(&rows));
-    // `--parallel K`: additionally check each analyzed plan against the
-    // requested intra-phase thread count (the parallel-underfill lint —
-    // warns when a plan has fewer processors than host workers, so the
-    // extra shards would stay empty every phase).
-    let threads = args.usize("parallel", 0)?;
-    if threads > 0 {
-        println!();
-        println!("parallelism fit at {threads} host worker thread(s):");
-        for f in &report.families {
-            let (_, plan, _) = ir_family_plan(f.family, n, seed).map_err(|e| e.to_string())?;
-            let diags = lint_parallelism(&plan, threads).map_err(|e| e.to_string())?;
-            if diags.is_empty() {
-                println!("  {:<17} ok ({} processor(s))", f.family, plan.procs);
-            } else {
-                for d in &diags {
-                    println!("  {:<17} {d}", f.family);
-                }
-            }
-        }
-    }
     // `--compiled`: report each analyzed plan's eligibility for the
     // straight-line compiled fast path (the compile-ineligible lint). A
     // flagged plan still runs — on the checked interpreter — but the
@@ -1349,34 +1275,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_flag_resolves_and_rejects_reference_combo() {
-        assert_eq!(run_parallelism(0, false).unwrap(), Parallelism::Off);
-        assert_eq!(run_parallelism(0, true).unwrap(), Parallelism::Off);
-        assert_eq!(run_parallelism(4, false).unwrap(), Parallelism::Fixed(4));
-        let err = run_parallelism(4, true).unwrap_err();
-        assert!(
-            err.contains("--parallel cannot be combined with --reference"),
-            "{err}"
-        );
-        // The same rejection surfaces through the full subcommand path.
-        let argv: Vec<String> = "run --problem or --model qsm --n 64 --reference --parallel 2"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let err = run(argv).unwrap_err();
-        assert!(
-            err.contains("--parallel cannot be combined with --reference"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn run_accepts_parallel_threads() {
-        let argv: Vec<String> = "run --problem or --model sqsm --n 96 --parallel 3"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        run(argv).unwrap();
+    fn parallel_flag_is_rejected_as_unknown() {
+        for line in [
+            "run --problem or --model sqsm --n 96 --parallel 2",
+            "analyze --static --family or-write-tree --parallel 2",
+        ] {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let err = run(argv).unwrap_err();
+            assert!(err.starts_with("unknown flag --parallel "), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1409,10 +1316,10 @@ mod tests {
     }
 
     #[test]
-    fn run_accepts_compiled_and_compiled_parallel() {
+    fn run_accepts_compiled() {
         for line in [
             "run --problem or --model qsm --n 96 --compiled",
-            "run --problem parity --model sqsm --n 96 --compiled --parallel 3",
+            "run --problem parity --model sqsm --n 96 --compiled",
             "run --problem parity --model bsp --n 96 --p 8 --compiled",
         ] {
             let argv: Vec<String> = line.split_whitespace().map(String::from).collect();

@@ -32,20 +32,8 @@
 //! behaviour (outputs, ledgers, errors, arbitration) is bit-identical to
 //! [`crate::interp::execute_plan`] in every configuration; the
 //! differential suite in `tests/compiled_equiv.rs` enforces this.
-//!
-//! With [`parbounds_models::ExecOptions::parallelism`] above one worker,
-//! the compiled executor shards phases two ways: the compute/gather stage
-//! by contiguous pid ranges (as in the interpreter's parallel path) and
-//! the apply/scatter stage by the disjoint address-range partition the
-//! compiler emits ([`CompiledPlan::num_chunks`]). Both stages run on a
-//! work-stealing pool ([`parbounds_models::par::with_steal_pool`]) so
-//! skewed shards rebalance, and stay bit-identical at every thread count:
-//! writes land at compiler-assigned slots and all cross-shard reads happen
-//! between barriers, so no interleaving is observable.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::RwLock;
 
 use crate::interp::{
     execute_plan_cancellable, run_msg_batch, run_shared_batch, shared_machine, PlanRun,
@@ -53,7 +41,6 @@ use crate::interp::{
 use crate::plan::{
     apply_update, Guard, InitRule, ModelKind, OutputDecl, PhasePlan, PlanBody, Update, ValueRule,
 };
-use parbounds_models::par::{shard_ranges, with_steal_pool};
 use parbounds_models::{
     Addr, BspMachine, CancelToken, Memory, ModelError, PhaseCost, QsmFlavor, QsmMachine, Result,
     Word,
@@ -103,25 +90,20 @@ enum StoreSrc {
     Proc(usize, ValueRule),
 }
 
-/// One pre-resolved write: destination cell, its (chunk, offset) address
-/// in the sharded-apply partition, and the value source.
+/// One pre-resolved write: destination cell and value source.
 #[derive(Debug, Clone, Copy)]
 struct StoreSlot {
     addr: Addr,
-    chunk: usize,
-    off: usize,
     src: StoreSrc,
 }
 
-/// One pre-resolved delivered read: the receiving pid and the source cell
-/// (with its chunk/offset). Reads whose receiver retires this phase are
-/// compiled out (their contention is already in the baked ledger row).
+/// One pre-resolved delivered read: the receiving pid and the source cell.
+/// Reads whose receiver retires this phase are compiled out (their
+/// contention is already in the baked ledger row).
 #[derive(Debug, Clone, Copy)]
 struct GatherSlot {
     pid: usize,
     addr: Addr,
-    chunk: usize,
-    off: usize,
 }
 
 /// The pre-counted ledger row of a fully static phase: `m_rw` is kept raw
@@ -146,8 +128,6 @@ struct StaticPhase {
     gathers: Vec<GatherSlot>,
     /// Commits in ascending address order, one slot per cell.
     stores: Vec<StoreSlot>,
-    /// `stores[store_chunks[c]]` = the slots landing in address chunk `c`.
-    store_chunks: Vec<Range<usize>>,
     cost: StaticCost,
 }
 
@@ -158,8 +138,6 @@ struct StaticPhase {
 struct GuardedRead {
     slot: usize,
     addr: Addr,
-    chunk: usize,
-    off: usize,
     deliver: bool,
 }
 
@@ -175,14 +153,6 @@ struct GuardedEntry {
     writes: Vec<(usize, ValueRule)>,
 }
 
-/// A distinct cell written (under saturation) in a guarded phase.
-#[derive(Debug, Clone, Copy)]
-struct WriteSlot {
-    addr: Addr,
-    chunk: usize,
-    off: usize,
-}
-
 /// A phase with data-dependent guards (the OR write tree): the request
 /// set is decided at run time, but addresses, counter slots, and delivery
 /// targets are still pre-resolved, and eligibility already proved the
@@ -194,9 +164,7 @@ struct GuardedPhase {
     /// Number of distinct saturating read cells (dense counter width).
     read_slots: usize,
     /// Distinct saturating write cells in ascending address order.
-    write_slots: Vec<WriteSlot>,
-    /// `write_slots[w_chunks[c]]` = the slots landing in address chunk `c`.
-    w_chunks: Vec<Range<usize>>,
+    write_slots: Vec<Addr>,
 }
 
 #[derive(Debug, Clone)]
@@ -206,7 +174,7 @@ enum CompiledPhase {
 }
 
 /// A compiled shared-memory plan: the flat phase schedule plus the memory
-/// extent and the address-range partition for the sharded apply stage.
+/// extent.
 #[derive(Debug, Clone)]
 struct CompiledShared {
     procs: usize,
@@ -219,9 +187,6 @@ struct CompiledShared {
     /// memory limit is at or below it fall back to the checked
     /// interpreter, which owns the limit-error behaviour.
     max_write_addr: Option<Addr>,
-    /// The compiler-emitted disjoint address partition the parallel apply
-    /// stage shards by.
-    chunk_ranges: Vec<Range<Addr>>,
     phases: Vec<CompiledPhase>,
 }
 
@@ -296,21 +261,7 @@ impl CompiledPlan {
             CompiledKind::Msg(cm) => cm.max_arena,
         }
     }
-
-    /// Width of the compiler-emitted address partition the parallel apply
-    /// stage shards by (1 for BSP schedules, which run sequentially).
-    pub fn num_chunks(&self) -> usize {
-        match &self.kind {
-            CompiledKind::Shared(cs) => cs.chunk_ranges.len(),
-            CompiledKind::Msg(_) => 1,
-        }
-    }
 }
-
-/// Width of the compiler-emitted address partition: enough chunks that
-/// the parallel apply stage can shard and steal, few enough that a task's
-/// "lock every chunk for reading" prologue stays trivial.
-const APPLY_CHUNKS: usize = 16;
 
 /// Compiles `plan` into a straight-line schedule, or explains why it must
 /// stay on the checked interpreter. `Err` is reserved for invalid plans
@@ -322,12 +273,6 @@ pub fn compile_plan(plan: &PhasePlan) -> Result<CompileOutcome> {
         PlanBody::Shared(_) => compile_shared(plan),
         PlanBody::Msg { .. } => compile_msg(plan),
     }
-}
-
-fn chunk_of(chunk_ranges: &[Range<Addr>], addr: Addr) -> (usize, usize) {
-    let c = chunk_ranges.partition_point(|r| r.end <= addr);
-    debug_assert!(chunk_ranges[c].contains(&addr));
-    (c, addr - chunk_ranges[c].start)
 }
 
 /// Read multiplicity per address under the saturating schedule.
@@ -449,7 +394,6 @@ fn compile_shared(plan: &PhasePlan) -> Result<CompileOutcome> {
         }
     }
     let planned_cells = max_addr.map(|a| a + 1).unwrap_or(0).max(base + len).max(1);
-    let chunk_ranges = shard_ranges(planned_cells, APPLY_CHUNKS.min(planned_cells));
 
     // Pass 2: lower each phase.
     let mut compiled = Vec::with_capacity(phases.len());
@@ -460,23 +404,11 @@ fn compile_shared(plan: &PhasePlan) -> Result<CompileOutcome> {
         let is_static = phase.procs.iter().all(|e| matches!(e.guard, Guard::Always));
         if is_static {
             compiled.push(CompiledPhase::Static(lower_static_phase(
-                phase,
-                &order,
-                &reads,
-                &writes,
-                &finish,
-                t,
-                &chunk_ranges,
+                phase, &order, &reads, &writes, &finish, t,
             )));
         } else {
             compiled.push(CompiledPhase::Guarded(lower_guarded_phase(
-                phase,
-                &order,
-                &reads,
-                &writes,
-                &finish,
-                t,
-                &chunk_ranges,
+                phase, &order, &reads, &writes, &finish, t,
             )));
         }
     }
@@ -488,13 +420,11 @@ fn compile_shared(plan: &PhasePlan) -> Result<CompileOutcome> {
             len,
             planned_cells,
             max_write_addr,
-            chunk_ranges,
             phases: compiled,
         }),
     }))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lower_static_phase(
     phase: &crate::plan::SharedPhase,
     order: &[usize],
@@ -502,7 +432,6 @@ fn lower_static_phase(
     writes: &BTreeMap<Addr, Vec<(usize, ValueRule)>>,
     finish: &[usize],
     t: usize,
-    chunk_ranges: &[Range<Addr>],
 ) -> StaticPhase {
     let mut m_op: u64 = 0;
     let mut m_rw: u64 = 0;
@@ -523,12 +452,9 @@ fn lower_static_phase(
         // counted below) but deliver nothing: compiled out.
         if finish[entry.pid] > t {
             for &addr in &entry.reads {
-                let (chunk, off) = chunk_of(chunk_ranges, addr);
                 gathers.push(GatherSlot {
                     pid: entry.pid,
                     addr,
-                    chunk,
-                    off,
                 });
             }
         }
@@ -542,7 +468,6 @@ fn lower_static_phase(
     };
     let mut stores = Vec::with_capacity(writes.len());
     for (&addr, group) in writes {
-        let (chunk, off) = chunk_of(chunk_ranges, addr);
         let src = if group.len() > 1 {
             // Eligibility proved all writers share one constant.
             let ValueRule::Const(v) = group[0].1 else {
@@ -557,19 +482,12 @@ fn lower_static_phase(
                 StoreSrc::Proc(pid, rule)
             }
         };
-        stores.push(StoreSlot {
-            addr,
-            chunk,
-            off,
-            src,
-        });
+        stores.push(StoreSlot { addr, src });
     }
-    let store_chunks = split_by_chunk(stores.len(), |i| stores[i].chunk, chunk_ranges.len());
     StaticPhase {
         updates,
         gathers,
         stores,
-        store_chunks,
         cost: StaticCost {
             m_op,
             m_rw,
@@ -582,7 +500,6 @@ fn lower_static_phase(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lower_guarded_phase(
     phase: &crate::plan::SharedPhase,
     order: &[usize],
@@ -590,7 +507,6 @@ fn lower_guarded_phase(
     writes: &BTreeMap<Addr, Vec<(usize, ValueRule)>>,
     finish: &[usize],
     t: usize,
-    chunk_ranges: &[Range<Addr>],
 ) -> GuardedPhase {
     let read_slot_of: BTreeMap<Addr, usize> = reads
         .keys()
@@ -601,13 +517,6 @@ fn lower_guarded_phase(
         .keys()
         .enumerate()
         .map(|(slot, &addr)| (addr, slot))
-        .collect();
-    let write_slots: Vec<WriteSlot> = writes
-        .keys()
-        .map(|&addr| {
-            let (chunk, off) = chunk_of(chunk_ranges, addr);
-            WriteSlot { addr, chunk, off }
-        })
         .collect();
     let entries = order
         .iter()
@@ -621,15 +530,10 @@ fn lower_guarded_phase(
                 reads: entry
                     .reads
                     .iter()
-                    .map(|&addr| {
-                        let (chunk, off) = chunk_of(chunk_ranges, addr);
-                        GuardedRead {
-                            slot: read_slot_of[&addr],
-                            addr,
-                            chunk,
-                            off,
-                            deliver: finish[entry.pid] > t,
-                        }
+                    .map(|&addr| GuardedRead {
+                        slot: read_slot_of[&addr],
+                        addr,
+                        deliver: finish[entry.pid] > t,
                     })
                     .collect(),
                 writes: entry
@@ -640,35 +544,11 @@ fn lower_guarded_phase(
             }
         })
         .collect();
-    let w_chunks = split_by_chunk(
-        write_slots.len(),
-        |i| write_slots[i].chunk,
-        chunk_ranges.len(),
-    );
     GuardedPhase {
         entries,
         read_slots: read_slot_of.len(),
-        write_slots,
-        w_chunks,
+        write_slots: writes.keys().copied().collect(),
     }
-}
-
-/// Partitions the index range `0..n` of a chunk-sorted slot list into one
-/// contiguous range per address chunk (slots are built in ascending
-/// address order, so equal-chunk runs are contiguous).
-fn split_by_chunk(n: usize, chunk_at: impl Fn(usize) -> usize, chunks: usize) -> Vec<Range<usize>> {
-    let mut out = Vec::with_capacity(chunks);
-    let mut lo = 0usize;
-    for c in 0..chunks {
-        let mut hi = lo;
-        while hi < n && chunk_at(hi) == c {
-            hi += 1;
-        }
-        out.push(lo..hi);
-        lo = hi;
-    }
-    debug_assert_eq!(lo, n);
-    out
 }
 
 fn compile_msg(plan: &PhasePlan) -> Result<CompileOutcome> {
@@ -824,12 +704,6 @@ pub fn run_compiled_batch(
     if cs.phases.len() > limit {
         return Err(ModelError::PhaseLimitExceeded { limit });
     }
-    let workers = machine.options().parallelism.workers(cs.procs);
-    // The parallel sharded-apply stage materializes dense per-chunk arrays,
-    // so million-scale arenas take the sequential paged executor instead.
-    if workers > 1 && cs.planned_cells <= PAGED_ARENA_MIN_CELLS {
-        return run_compiled_shared_par(cs, machine, input, workers);
-    }
     run_compiled_shared_seq(cs, machine, input)
 }
 
@@ -852,7 +726,7 @@ fn ledger_row(
     }
 }
 
-/// Arena cell count above which the sequential compiled executor switches
+/// Arena cell count above which the compiled executor switches
 /// from one flat allocation to chunked pages allocated on first touch.
 /// Below the bound (2^22 words = 32 MiB) the straight-line loop keeps its
 /// single dense array; above it — million-scale or high-base layouts —
@@ -1001,9 +875,9 @@ fn run_compiled_shared_seq(
                         delivered.push(pid);
                     }
                 }
-                for (wslot, ws) in gp.write_slots.iter().enumerate() {
+                for (wslot, &addr) in gp.write_slots.iter().enumerate() {
                     if write_counts[wslot] > 0 {
-                        cells.set(ws.addr, write_vals[wslot]);
+                        cells.set(addr, write_vals[wslot]);
                     }
                 }
                 let read_c = read_counts.iter().copied().max().unwrap_or(0);
@@ -1020,326 +894,10 @@ fn run_compiled_shared_seq(
     })
 }
 
-/// One pid shard of the parallel compiled executor: the register files and
-/// pending deliveries of a contiguous pid range, plus phase-local scratch
-/// for guarded phases.
-struct ParShard {
-    base: usize,
-    regs: Vec<Vec<Word>>,
-    pending: Vec<Vec<Word>>,
-    /// Local indices (pid - base) delivered to in the previous phase.
-    delivered: Vec<usize>,
-    m_op: u64,
-    m_rw: u64,
-    any_access: bool,
-    /// Fired guarded reads `(slot, pid, chunk, off, deliver)`, entry order.
-    g_reads: Vec<(usize, usize, usize, usize, bool)>,
-    /// Fired guarded writes `(wslot, value)`, entry order.
-    g_writes: Vec<(usize, Word)>,
-}
-
-/// One task of the parallel compiled executor's work-stealing rounds.
-enum ParTask {
-    /// Compute/gather stage of a static phase, for one pid shard.
-    Gather(usize, usize),
-    /// Apply/scatter stage of a static phase, for one address chunk.
-    Apply(usize, usize),
-    /// Compute stage of a guarded phase, for one pid shard.
-    Guarded(usize, usize),
-}
-
-fn run_compiled_shared_par(
-    cs: &CompiledShared,
-    machine: &QsmMachine,
-    input: &[Word],
-    workers: usize,
-) -> Result<PlanRun> {
-    // Oversubscribe pid shards 2x so the stealing pool has slack to
-    // rebalance skewed phases.
-    let nshards = (workers * 2).clamp(1, cs.procs.max(1));
-    let ranges = shard_ranges(cs.procs, nshards);
-    let mut shard_of = vec![0usize; cs.procs];
-    for (s, r) in ranges.iter().enumerate() {
-        for pid in r.clone() {
-            shard_of[pid] = s;
-        }
-    }
-    let shard_of = &shard_of;
-
-    let shards: Vec<RwLock<ParShard>> = ranges
-        .iter()
-        .map(|r| {
-            RwLock::new(ParShard {
-                base: r.start,
-                regs: vec![Vec::new(); r.len()],
-                pending: vec![Vec::new(); r.len()],
-                delivered: Vec::new(),
-                m_op: 0,
-                m_rw: 0,
-                any_access: false,
-                g_reads: Vec::new(),
-                g_writes: Vec::new(),
-            })
-        })
-        .collect();
-    let chunks: Vec<RwLock<Vec<Word>>> = cs
-        .chunk_ranges
-        .iter()
-        .map(|r| {
-            let mut cells = vec![0 as Word; r.len()];
-            if r.start < input.len() {
-                let hi = r.end.min(input.len());
-                cells[..hi - r.start].copy_from_slice(&input[r.start..hi]);
-            }
-            RwLock::new(cells)
-        })
-        .collect();
-    let shards = &shards;
-    let chunks = &chunks;
-
-    // Per-phase, per-shard sub-ranges of the pid-sorted tables.
-    let sub_updates: Vec<Vec<Range<usize>>> = cs
-        .phases
-        .iter()
-        .map(|phase| match phase {
-            CompiledPhase::Static(sp) => pid_subranges(&sp.updates, |u| u.0, &ranges),
-            CompiledPhase::Guarded(_) => Vec::new(),
-        })
-        .collect();
-    let sub_gathers: Vec<Vec<Range<usize>>> = cs
-        .phases
-        .iter()
-        .map(|phase| match phase {
-            CompiledPhase::Static(sp) => pid_subranges(&sp.gathers, |g| g.pid, &ranges),
-            CompiledPhase::Guarded(_) => Vec::new(),
-        })
-        .collect();
-    let sub_entries: Vec<Vec<Range<usize>>> = cs
-        .phases
-        .iter()
-        .map(|phase| match phase {
-            CompiledPhase::Static(_) => Vec::new(),
-            CompiledPhase::Guarded(gp) => pid_subranges(&gp.entries, |e| e.pid, &ranges),
-        })
-        .collect();
-    let (sub_updates, sub_gathers, sub_entries) = (&sub_updates, &sub_gathers, &sub_entries);
-
-    let lock_msg = "compiled executor lock poisoned";
-    let work = move |_wk: usize, task: ParTask| match task {
-        ParTask::Gather(t, s) => {
-            let CompiledPhase::Static(sp) = &cs.phases[t] else {
-                unreachable!("Gather tasks are issued for static phases");
-            };
-            let mut sh = shards[s].write().expect(lock_msg);
-            let sh = &mut *sh;
-            for &(pid, update) in &sp.updates[sub_updates[t][s].clone()] {
-                let li = pid - sh.base;
-                apply_update(update, &mut sh.regs[li], &sh.pending[li]);
-            }
-            for li in sh.delivered.drain(..) {
-                sh.pending[li].clear();
-            }
-            let cell_guards: Vec<_> = chunks.iter().map(|c| c.read().expect(lock_msg)).collect();
-            for g in &sp.gathers[sub_gathers[t][s].clone()] {
-                let v = cell_guards[g.chunk][g.off];
-                let li = g.pid - sh.base;
-                sh.pending[li].push(v);
-                sh.delivered.push(li);
-            }
-        }
-        ParTask::Apply(t, c) => {
-            let CompiledPhase::Static(sp) = &cs.phases[t] else {
-                unreachable!("Apply tasks are issued for static phases");
-            };
-            let mut cells = chunks[c].write().expect(lock_msg);
-            let shard_guards: Vec<_> = shards.iter().map(|s| s.read().expect(lock_msg)).collect();
-            for slot in &sp.stores[sp.store_chunks[c].clone()] {
-                cells[slot.off] = match slot.src {
-                    StoreSrc::Const(v) => v,
-                    StoreSrc::Proc(pid, rule) => {
-                        let sg = &shard_guards[shard_of[pid]];
-                        rule.eval(&sg.regs[pid - sg.base])
-                    }
-                };
-            }
-        }
-        ParTask::Guarded(t, s) => {
-            let CompiledPhase::Guarded(gp) = &cs.phases[t] else {
-                unreachable!("Guarded tasks are issued for guarded phases");
-            };
-            let mut sh = shards[s].write().expect(lock_msg);
-            let sh = &mut *sh;
-            sh.m_op = 0;
-            sh.m_rw = 0;
-            sh.any_access = false;
-            sh.g_reads.clear();
-            sh.g_writes.clear();
-            for e in &gp.entries[sub_entries[t][s].clone()] {
-                let li = e.pid - sh.base;
-                apply_update(e.update, &mut sh.regs[li], &sh.pending[li]);
-                let fire = match e.guard {
-                    Guard::Always => true,
-                    Guard::NonZero => sh.regs[li].first().copied().unwrap_or(0) != 0,
-                };
-                if !fire {
-                    continue;
-                }
-                let r_i = e.reads.len() as u64;
-                let w_i = e.writes.len() as u64;
-                sh.m_op = sh.m_op.max(e.local_ops + r_i + w_i);
-                sh.m_rw = sh.m_rw.max(r_i.max(w_i));
-                sh.any_access |= r_i + w_i > 0;
-                for r in &e.reads {
-                    sh.g_reads.push((r.slot, e.pid, r.chunk, r.off, r.deliver));
-                }
-                for &(wslot, rule) in &e.writes {
-                    sh.g_writes.push((wslot, rule.eval(&sh.regs[li])));
-                }
-            }
-            for li in sh.delivered.drain(..) {
-                sh.pending[li].clear();
-            }
-        }
-    };
-
-    with_steal_pool(workers, work, move |pool| {
-        let mut ledger = machine.options().new_ledger();
-        let mut read_counts: Vec<u64> = Vec::new();
-        let mut write_counts: Vec<u64> = Vec::new();
-        let mut write_vals: Vec<Word> = Vec::new();
-        let mut fired_reads: Vec<(usize, usize, usize, bool)> = Vec::new();
-
-        for (t, phase) in cs.phases.iter().enumerate() {
-            if let Some(token) = machine.cancel_token() {
-                token.check(t)?;
-            }
-            match phase {
-                CompiledPhase::Static(sp) => {
-                    pool.run_round((0..nshards).map(|s| ParTask::Gather(t, s)).collect());
-                    let apply: Vec<ParTask> = (0..cs.chunk_ranges.len())
-                        .filter(|&c| !sp.store_chunks[c].is_empty())
-                        .map(|c| ParTask::Apply(t, c))
-                        .collect();
-                    if !apply.is_empty() {
-                        pool.run_round(apply);
-                    }
-                    let c = sp.cost;
-                    ledger.push(ledger_row(
-                        machine,
-                        c.m_op,
-                        c.m_rw,
-                        c.kappa_std,
-                        c.kappa_unit,
-                    ));
-                }
-                CompiledPhase::Guarded(gp) => {
-                    pool.run_round((0..nshards).map(|s| ParTask::Guarded(t, s)).collect());
-                    // Merge in shard (= pid) order; the result is identical
-                    // to the sequential walk.
-                    read_counts.clear();
-                    read_counts.resize(gp.read_slots, 0);
-                    write_counts.clear();
-                    write_counts.resize(gp.write_slots.len(), 0);
-                    write_vals.clear();
-                    write_vals.resize(gp.write_slots.len(), 0);
-                    fired_reads.clear();
-                    let mut m_op: u64 = 0;
-                    let mut m_rw: u64 = 0;
-                    let mut any_access = false;
-                    for shard in shards {
-                        let sh = shard.read().expect(lock_msg);
-                        m_op = m_op.max(sh.m_op);
-                        m_rw = m_rw.max(sh.m_rw);
-                        any_access |= sh.any_access;
-                        for &(slot, pid, chunk, off, deliver) in &sh.g_reads {
-                            read_counts[slot] += 1;
-                            fired_reads.push((pid, chunk, off, deliver));
-                        }
-                        for &(wslot, v) in &sh.g_writes {
-                            write_counts[wslot] += 1;
-                            write_vals[wslot] = v;
-                        }
-                    }
-                    {
-                        let cell_guards: Vec<_> =
-                            chunks.iter().map(|c| c.read().expect(lock_msg)).collect();
-                        for &(pid, chunk, off, deliver) in &fired_reads {
-                            let v = cell_guards[chunk][off];
-                            if deliver {
-                                drop_read_push(shards, shard_of, pid, v, lock_msg);
-                            }
-                        }
-                    }
-                    for (c, range) in gp.w_chunks.iter().enumerate() {
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let mut cells = chunks[c].write().expect(lock_msg);
-                        for wslot in range.clone() {
-                            if write_counts[wslot] > 0 {
-                                cells[gp.write_slots[wslot].off] = write_vals[wslot];
-                            }
-                        }
-                    }
-                    let read_c = read_counts.iter().copied().max().unwrap_or(0);
-                    let write_c = write_counts.iter().copied().max().unwrap_or(0);
-                    let kappa_std = if any_access { read_c.max(write_c) } else { 1 };
-                    ledger.push(ledger_row(machine, m_op, m_rw, kappa_std, write_c.max(1)));
-                }
-            }
-        }
-
-        let mut output = Vec::with_capacity(cs.len);
-        for (c, range) in cs.chunk_ranges.iter().enumerate() {
-            if range.end <= cs.base || range.start >= cs.base + cs.len {
-                continue;
-            }
-            let cells = chunks[c].read().expect(lock_msg);
-            let lo = cs.base.max(range.start);
-            let hi = (cs.base + cs.len).min(range.end);
-            output.extend_from_slice(&cells[lo - range.start..hi - range.start]);
-        }
-        Ok(PlanRun { ledger, output })
-    })
-}
-
-/// Pushes a delivered value into `pid`'s pending buffer (write-locking its
-/// owning shard between rounds, when no task holds any lock).
-fn drop_read_push(
-    shards: &[RwLock<ParShard>],
-    shard_of: &[usize],
-    pid: usize,
-    v: Word,
-    lock_msg: &str,
-) {
-    let mut sh = shards[shard_of[pid]].write().expect(lock_msg);
-    let li = pid - sh.base;
-    sh.pending[li].push(v);
-    sh.delivered.push(li);
-}
-
-/// Per-shard sub-ranges of a pid-sorted table (entries are pid-sorted, so
-/// each shard owns a contiguous run).
-fn pid_subranges<T>(
-    table: &[T],
-    pid_of: impl Fn(&T) -> usize,
-    ranges: &[Range<usize>],
-) -> Vec<Range<usize>> {
-    ranges
-        .iter()
-        .map(|r| {
-            let lo = table.partition_point(|x| pid_of(x) < r.start);
-            let hi = table.partition_point(|x| pid_of(x) < r.end);
-            lo..hi
-        })
-        .collect()
-}
-
 /// Runs a compiled BSP schedule on `machine`, bit-identical to
 /// [`run_msg_batch`] on the plan it was compiled from. Fault plans, trace
 /// recording, and machine-width mismatches fall back to the checked
-/// interpreter. BSP schedules run sequentially (as does the interpreter's
-/// superstep loop), so every thread setting is trivially identical.
+/// interpreter.
 pub fn run_compiled_msg_batch(
     plan: &PhasePlan,
     compiled: &CompiledPlan,
@@ -1561,10 +1119,8 @@ mod tests {
         assert!(compiled.is_shared());
         assert!(compiled.num_phases() > 0);
         assert!(compiled.arena_cells() >= 16);
-        assert!(compiled.num_chunks() >= 1 && compiled.num_chunks() <= APPLY_CHUNKS);
         let bsp = compile_ok(&bsp_fan_in_reduce(4, 2, CombineOp::Or, 4, 16));
         assert!(!bsp.is_shared());
-        assert_eq!(bsp.num_chunks(), 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use crate::plan::{apply_update, Guard, InitRule, ModelKind, OutputDecl, PhasePlan, PlanBody};
 use parbounds_models::exec::{ContentionTable, WriteRouter};
-use parbounds_models::par::{shard_ranges, with_pool};
 use parbounds_models::{
     Addr, BspMachine, BspProgram, CancelToken, CostLedger, Memory, ModelError, Msg, PhaseCost,
     PhaseEnv, Program, QsmFlavor, QsmMachine, Result, Status, Superstep, Word,
@@ -341,11 +340,6 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
         return Err(ModelError::PhaseLimitExceeded { limit });
     }
 
-    let workers = machine.options().parallelism.workers(plan.procs);
-    if workers > 1 {
-        return run_shared_batch_par(plan, machine, input, &finish, workers);
-    }
-
     let mut memory = Memory::with_limit(machine.mem_limit());
     memory.load(0, input)?;
     let mut rng = ChaCha8Rng::seed_from_u64(machine.seed());
@@ -470,227 +464,6 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
     Ok(PlanRun {
         ledger,
         output: memory.slice(base, len),
-    })
-}
-
-/// One worker's slice of the batch interpreter in the parallel path: its
-/// contiguous pid range's register files and pending deliveries, plus the
-/// request arenas it refills each phase.
-struct BatchShard {
-    base: usize,
-    phase_no: usize,
-    regs: Vec<Vec<Word>>,
-    pending: Vec<Vec<Word>>,
-    /// `(pid, addr)` read requests, in entry order within the shard.
-    reads: Vec<(usize, Addr)>,
-    /// `(addr, value)` write requests, in entry order within the shard.
-    writes: Vec<(Addr, Word)>,
-    m_op: u64,
-    m_rw: u64,
-    any_access: bool,
-}
-
-/// The parallel batch interpreter: the per-phase entry loop is sharded by
-/// contiguous pid ranges across `workers` scoped threads (each owning its
-/// range's register files), and shard request arenas merge back in pid
-/// order into the same [`WriteRouter`] / [`ContentionTable`] apply stage as
-/// the sequential loop — so ledgers, RNG draws, errors and outputs are
-/// bit-identical to [`run_shared_batch`] at every thread count.
-fn run_shared_batch_par(
-    plan: &PhasePlan,
-    machine: &QsmMachine,
-    input: &[Word],
-    finish: &[usize],
-    workers: usize,
-) -> Result<PlanRun> {
-    let PlanBody::Shared(phases) = &plan.body else {
-        unreachable!("run_shared_batch dispatches shared plans only");
-    };
-    let OutputDecl::Region { base, len } = plan.output else {
-        unreachable!("validate() ties shared plans to Region outputs");
-    };
-
-    let mut memory = Memory::with_limit(machine.mem_limit());
-    memory.load(0, input)?;
-    let mut rng = ChaCha8Rng::seed_from_u64(machine.seed());
-    let mut ledger = machine.options().new_ledger();
-
-    let order: Vec<Vec<usize>> = phases
-        .iter()
-        .map(|phase| {
-            let mut idx: Vec<usize> = (0..phase.procs.len()).collect();
-            idx.sort_unstable_by_key(|&i| phase.procs[i].pid);
-            idx
-        })
-        .collect();
-
-    let ranges = shard_ranges(plan.procs, workers);
-    // pid -> owning shard, for routing deliveries back after the apply
-    // stage (shards own the pending buffers of their pid range).
-    let mut shard_of = vec![0usize; plan.procs];
-    for (s, r) in ranges.iter().enumerate() {
-        for pid in r.clone() {
-            shard_of[pid] = s;
-        }
-    }
-    // `sub[t][w]` = the slice of `order[t]` whose pids fall in shard `w`'s
-    // range (entries are pid-sorted, so each shard owns a contiguous run).
-    let sub: Vec<Vec<std::ops::Range<usize>>> = phases
-        .iter()
-        .enumerate()
-        .map(|(t, phase)| {
-            ranges
-                .iter()
-                .map(|r| {
-                    let lo = order[t].partition_point(|&i| phase.procs[i].pid < r.start);
-                    let hi = order[t].partition_point(|&i| phase.procs[i].pid < r.end);
-                    lo..hi
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut shards: Vec<Option<BatchShard>> = ranges
-        .iter()
-        .map(|r| {
-            Some(BatchShard {
-                base: r.start,
-                phase_no: 0,
-                regs: vec![Vec::new(); r.len()],
-                pending: vec![Vec::new(); r.len()],
-                reads: Vec::new(),
-                writes: Vec::new(),
-                m_op: 0,
-                m_rw: 0,
-                any_access: false,
-            })
-        })
-        .collect();
-
-    let work = |wk: usize, mut shard: BatchShard| {
-        shard.reads.clear();
-        shard.writes.clear();
-        shard.m_op = 0;
-        shard.m_rw = 0;
-        shard.any_access = false;
-        let t = shard.phase_no;
-        let phase = &phases[t];
-        for &i in &order[t][sub[t][wk].clone()] {
-            let entry = &phase.procs[i];
-            let pid = entry.pid;
-            let li = pid - shard.base;
-            apply_update(entry.update, &mut shard.regs[li], &shard.pending[li]);
-            let fire = match entry.guard {
-                Guard::Always => true,
-                Guard::NonZero => shard.regs[li].first().copied().unwrap_or(0) != 0,
-            };
-            if !fire {
-                continue;
-            }
-            let r_i = entry.reads.len() as u64;
-            let w_i = entry.writes.len() as u64;
-            shard.m_op = shard.m_op.max(entry.local_ops + r_i + w_i);
-            shard.m_rw = shard.m_rw.max(r_i.max(w_i));
-            shard.any_access |= r_i + w_i > 0;
-            for &addr in &entry.reads {
-                shard.reads.push((pid, addr));
-            }
-            for w in &entry.writes {
-                shard.writes.push((w.addr, w.value.eval(&shard.regs[li])));
-            }
-        }
-        // Deliveries are consumed exactly once (entry or not), like the
-        // sequential loop's wholesale clear.
-        for p in shard.pending.iter_mut() {
-            p.clear();
-        }
-        shard
-    };
-
-    with_pool(workers, work, move |pool| {
-        let mut read_table = ContentionTable::default();
-        let mut writes = WriteRouter::default();
-        let mut new_reads: Vec<(usize, Addr)> = Vec::new();
-
-        for t in 0..phases.len() {
-            if let Some(token) = machine.cancel_token() {
-                token.check(t)?;
-            }
-            read_table.begin_phase();
-            writes.begin_phase();
-            new_reads.clear();
-            let mut m_op: u64 = 0;
-            let mut m_rw: u64 = 0;
-            let mut any_access = false;
-
-            // Compute stage: dispatch shards, merge arenas in pid order.
-            let mut tasks = Vec::with_capacity(shards.len());
-            for slot in shards.iter_mut() {
-                let mut shard = slot.take().expect("shard not in flight");
-                shard.phase_no = t;
-                tasks.push(shard);
-            }
-            pool.run_round(tasks, |wk, shard| {
-                m_op = m_op.max(shard.m_op);
-                m_rw = m_rw.max(shard.m_rw);
-                any_access |= shard.any_access;
-                for &(pid, addr) in &shard.reads {
-                    read_table.incr(addr);
-                    new_reads.push((pid, addr));
-                }
-                for &(addr, v) in &shard.writes {
-                    writes.push(addr, v);
-                }
-                shards[wk] = Some(shard);
-            });
-
-            // Apply stage: identical to the sequential loop.
-            writes.route();
-            for &addr in writes.sorted_addrs() {
-                if read_table.contains(addr) {
-                    return Err(ModelError::ReadWriteConflict { addr, phase: t });
-                }
-            }
-            for &(pid, addr) in &new_reads {
-                let v = memory.get(addr);
-                if finish[pid] > t {
-                    let sh = shards[shard_of[pid]].as_mut().expect("shard not in flight");
-                    let li = pid - sh.base;
-                    sh.pending[li].push(v);
-                }
-            }
-            for (addr, values) in writes.groups() {
-                let value = if values.len() == 1 {
-                    values[0]
-                } else {
-                    values[rng.gen_range(0..values.len())]
-                };
-                memory.set(addr, value)?;
-            }
-
-            let write_contention = writes.max_contention();
-            let kappa = if any_access {
-                read_table.max_contention().max(write_contention)
-            } else {
-                1
-            };
-            let kappa = match machine.flavor() {
-                QsmFlavor::QsmUnitConcurrentReads => write_contention,
-                _ => kappa,
-            };
-            let cost = machine.phase_cost(m_op, m_rw, kappa);
-            ledger.push(PhaseCost {
-                m_op,
-                m_rw: m_rw.max(1),
-                kappa,
-                cost,
-            });
-        }
-
-        Ok(PlanRun {
-            ledger,
-            output: memory.slice(base, len),
-        })
     })
 }
 

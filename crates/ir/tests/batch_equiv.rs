@@ -4,14 +4,14 @@
 //! [`PlanRun`] — ledger, phase count, output — as the closure-dispatch
 //! grounding [`parbounds_ir::execute_plan_reference`], for every Section 8
 //! family the combinators build, on every model kind the IR schedules,
-//! across fan-ins, gap parameters, and host thread counts {1, 2, 4, 7}.
+//! across fan-ins and gap parameters.
 
 use parbounds_ir::{
     broadcast, bsp_fan_in_reduce, bsp_prefix_scan, dart_round, execute_plan,
     execute_plan_reference, fan_in_read_tree, fan_in_write_tree, prefix_sweep, run_msg_batch,
     run_shared_batch, scatter_gather, CombineOp, ModelKind, PhasePlan, ValueRule,
 };
-use parbounds_models::{BspMachine, Parallelism, QsmMachine, Word};
+use parbounds_models::{BspMachine, QsmMachine, Word};
 
 /// All shared-memory model kinds at a given gap.
 fn shared_models(g: u64) -> Vec<ModelKind> {
@@ -216,49 +216,6 @@ fn msg_batch_rejects_shared_plans() {
     let plan = broadcast(4, 2, ModelKind::Qsm { g: 1 });
     let machine = BspMachine::new(4, 1, 1).unwrap();
     assert!(run_msg_batch(&plan, &machine, &[1]).is_err());
-}
-
-/// The parallel batch interpreter must be bit-identical to the sequential
-/// one at every thread count, including oversubscription (more workers
-/// than plan processors) and heavy multi-writer arbitration.
-#[test]
-fn shared_batch_is_thread_count_invariant() {
-    let targets: Vec<(usize, ValueRule)> = (0..24)
-        .map(|i| (100 + i % 3, ValueRule::Const(i as Word)))
-        .collect();
-    for model in shared_models(2) {
-        let plans = [
-            prefix_sweep(31, 3, CombineOp::Sum, model),
-            fan_in_write_tree(33, 2, model),
-            dart_round(&targets, model),
-        ];
-        let inputs: [Vec<Word>; 3] = [ramp(31), bits(33, 3), Vec::new()];
-        for (plan, input) in plans.iter().zip(&inputs) {
-            let machine = match model {
-                ModelKind::Qsm { g } => QsmMachine::qsm(g),
-                ModelKind::SQsm { g } => QsmMachine::sqsm(g),
-                ModelKind::QsmUnitCr { g } => QsmMachine::qsm_unit_cr(g),
-                _ => unreachable!("shared_models yields shared kinds"),
-            };
-            let sequential = run_shared_batch(plan, &machine, input).unwrap();
-            for threads in [1usize, 2, 4, 7, 64] {
-                let par = machine
-                    .clone()
-                    .with_parallelism(Parallelism::Fixed(threads));
-                let got = run_shared_batch(plan, &par, input).unwrap();
-                assert_eq!(
-                    got.ledger, sequential.ledger,
-                    "ledger '{}' threads={threads}",
-                    plan.family
-                );
-                assert_eq!(
-                    got.output, sequential.output,
-                    "output '{}' threads={threads}",
-                    plan.family
-                );
-            }
-        }
-    }
 }
 
 #[test]

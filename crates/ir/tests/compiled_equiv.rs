@@ -5,9 +5,9 @@
 //! count, output words, and (via output equality on multi-writer
 //! fixtures) arbitration winners — as the batch interpreter and the
 //! closure-dispatch reference grounding, for every Section 8 family,
-//! across `(n, p, g, L)` grids and host thread counts {1, 2, 4, 7}.
-//! Property tests with skewed pid/address distributions exercise the
-//! work-stealing rebalance of the sharded apply stage.
+//! across `(n, p, g, L)` grids. Property tests add guarded trees whose
+//! firing leaves are clumped in one window and rotated scatter/gather
+//! routings.
 
 use parbounds_ir::{
     broadcast, bsp_fan_in_reduce, bsp_prefix_scan, compile_plan, execute_plan,
@@ -15,7 +15,7 @@ use parbounds_ir::{
     prefix_sweep, run_compiled_batch, run_compiled_msg_batch, scatter_gather, CombineOp,
     CompileOutcome, CompiledPlan, ModelKind, PhasePlan, PAGED_ARENA_MIN_CELLS,
 };
-use parbounds_models::{BspMachine, Parallelism, QsmMachine, Word};
+use parbounds_models::{BspMachine, QsmMachine, Word};
 use proptest::prelude::*;
 
 /// All shared-memory model kinds at a given gap.
@@ -27,15 +27,14 @@ fn shared_models(g: u64) -> Vec<ModelKind> {
     ]
 }
 
-/// Builds the machine a shared plan grounds on, at a given thread count.
-fn shared_machine(model: ModelKind, threads: usize) -> QsmMachine {
-    let m = match model {
+/// Builds the machine a shared plan grounds on.
+fn shared_machine(model: ModelKind) -> QsmMachine {
+    match model {
         ModelKind::Qsm { g } => QsmMachine::qsm(g),
         ModelKind::SQsm { g } => QsmMachine::sqsm(g),
         ModelKind::QsmUnitCr { g } => QsmMachine::qsm_unit_cr(g),
         other => panic!("not a compiled shared model: {other:?}"),
-    };
-    m.with_parallelism(Parallelism::Fixed(threads))
+    }
 }
 
 /// Compiles a plan the suite expects to be eligible.
@@ -48,8 +47,8 @@ fn compiled(plan: &PhasePlan) -> CompiledPlan {
     }
 }
 
-/// Three-way check on a shared plan: compiled (at every thread count) ==
-/// interpreted == reference, ledger row for ledger row.
+/// Three-way check on a shared plan: compiled == interpreted ==
+/// reference, ledger row for ledger row.
 fn assert_shared_tri(plan: &PhasePlan, input: &[Word]) {
     let reference = execute_plan_reference(plan, input).unwrap();
     let interpreted = execute_plan(plan, input).unwrap();
@@ -59,24 +58,21 @@ fn assert_shared_tri(plan: &PhasePlan, input: &[Word]) {
         plan.family
     );
     let cp = compiled(plan);
-    for threads in [1usize, 2, 4, 7] {
-        let machine = shared_machine(plan.model, threads);
-        let got = run_compiled_batch(plan, &cp, &machine, input).unwrap();
-        assert_eq!(
-            got.ledger, reference.ledger,
-            "compiled ledger diverges for '{}' at {threads} thread(s)",
-            plan.family
-        );
-        assert_eq!(
-            got.output, reference.output,
-            "compiled output diverges for '{}' at {threads} thread(s)",
-            plan.family
-        );
-    }
+    let machine = shared_machine(plan.model);
+    let got = run_compiled_batch(plan, &cp, &machine, input).unwrap();
+    assert_eq!(
+        got.ledger, reference.ledger,
+        "compiled ledger diverges for '{}'",
+        plan.family
+    );
+    assert_eq!(
+        got.output, reference.output,
+        "compiled output diverges for '{}'",
+        plan.family
+    );
 }
 
-/// Three-way check on a BSP plan (the compiled message path is
-/// single-threaded; thread invariance is a shared-memory property).
+/// Three-way check on a BSP plan.
 fn assert_bsp_tri(plan: &PhasePlan, input: &[Word]) {
     let reference = execute_plan_reference(plan, input).unwrap();
     let interpreted = execute_plan(plan, input).unwrap();
@@ -173,8 +169,7 @@ fn compiled_scatter_gather_matches() {
 
 /// Sparse plans whose planned address space exceeds
 /// [`PAGED_ARENA_MIN_CELLS`] ground the compiled executor on the paged
-/// arena (and route multi-worker runs to the sequential paged path); the
-/// run must stay identical to the interpreter and reference grounding
+/// arena; the run must stay identical to the interpreter and reference grounding
 /// even though the arena never materializes the dense cell array.
 #[test]
 fn compiled_sparse_high_addresses_use_paged_arena_identically() {
@@ -259,8 +254,7 @@ fn ineligible_plans_still_agree_via_fallback() {
 }
 
 /// Builds an input whose ones are concentrated in one window of the leaf
-/// range: in the guarded OR tree only those leaves fire, so one pid shard
-/// carries nearly all the work — the skew the stealing pool must absorb.
+/// range: in the guarded OR tree only those leaves fire.
 fn skewed_bits(n: usize, start: usize, len: usize) -> Vec<Word> {
     (0..n)
         .map(|i| Word::from(i >= start && i < start + len))
@@ -271,14 +265,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random guarded trees with all firing leaves clumped in one window:
-    /// the compiled parallel path must stay bit-identical to the
-    /// sequential interpreter under maximal shard skew.
+    /// the compiled path must stay bit-identical to the interpreter.
     #[test]
-    fn compiled_guarded_skew_is_thread_invariant(
+    fn compiled_guarded_skew_matches_interpreter(
         n in 8usize..80,
         k in 2usize..5,
         window in 0u8..4,
-        threads in 1usize..8,
         g in 1u64..5,
     ) {
         let plan = fan_in_write_tree(n, k, ModelKind::Qsm { g });
@@ -287,20 +279,19 @@ proptest! {
         let input = skewed_bits(n, start, wlen);
         let want = execute_plan(&plan, &input).unwrap();
         let cp = compiled(&plan);
-        let machine = shared_machine(plan.model, threads);
+        let machine = shared_machine(plan.model);
         let got = run_compiled_batch(&plan, &cp, &machine, &input).unwrap();
         prop_assert_eq!(got, want);
     }
 
-    /// Random permutation routings (scatter/gather) with addresses
-    /// clustered by a rotation: the apply stage's address chunks receive
-    /// unequal store counts, exercising chunk-task stealing.
+    /// Random permutation routings (scatter/gather) with sources rotated
+    /// and destinations spread: the compiled path must stay bit-identical
+    /// to the interpreter.
     #[test]
-    fn compiled_scatter_skew_is_thread_invariant(
+    fn compiled_scatter_skew_matches_interpreter(
         n in 1usize..48,
         rot in 0usize..48,
         spread in 1usize..4,
-        threads in 1usize..8,
     ) {
         let sources: Vec<usize> = (0..n).map(|i| (i + rot) % n).collect();
         let dests: Vec<usize> = (0..n).map(|i| n + i * spread).collect();
@@ -308,7 +299,7 @@ proptest! {
         let input = ramp(n);
         let want = execute_plan(&plan, &input).unwrap();
         let cp = compiled(&plan);
-        let machine = shared_machine(plan.model, threads);
+        let machine = shared_machine(plan.model);
         let got = run_compiled_batch(&plan, &cp, &machine, &input).unwrap();
         prop_assert_eq!(got, want);
     }

@@ -14,7 +14,6 @@ use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
 use crate::exec::{ExecOptions, Routing};
 use crate::faults::{FaultInjector, FaultLog, FaultPlan};
-use crate::par::{shard_ranges, with_pool, Parallelism};
 use crate::shared::{Status, Word};
 
 /// A point-to-point message. `tag` lets algorithms multiplex message kinds
@@ -325,14 +324,6 @@ impl BspMachine {
         self
     }
 
-    /// Sets the host-thread budget for the intra-superstep compute stage
-    /// ([`Parallelism::Off`] by default); results are bit-identical at
-    /// every setting. See [`crate::QsmMachine::with_parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.opts.parallelism = parallelism;
-        self
-    }
-
     /// Folds run ledgers into running aggregates without retaining
     /// per-superstep records. See
     /// [`crate::QsmMachine::with_streaming_ledger`].
@@ -384,51 +375,29 @@ impl BspMachine {
     }
 
     /// Runs `program` on `input` partitioned across the components.
-    ///
-    /// `P: Sync` and `P::Proc: Send` admit the intra-superstep parallel
-    /// executor; both bounds are vacuous for ordinary programs.
-    pub fn run<P>(&self, program: &P, input: &[Word]) -> Result<BspRunResult<P::Proc>>
-    where
-        P: BspProgram + Sync,
-        P::Proc: Send,
-    {
+    pub fn run<P: BspProgram>(&self, program: &P, input: &[Word]) -> Result<BspRunResult<P::Proc>> {
         self.execute(program, input, self.opts.record_trace)
     }
 
     /// Runs `program` and records a full [`BspTrace`].
-    pub fn run_traced<P>(
+    pub fn run_traced<P: BspProgram>(
         &self,
         program: &P,
         input: &[Word],
-    ) -> Result<(BspRunResult<P::Proc>, BspTrace)>
-    where
-        P: BspProgram + Sync,
-        P::Proc: Send,
-    {
+    ) -> Result<(BspRunResult<P::Proc>, BspTrace)> {
         let mut result = self.execute(program, input, true)?;
         let trace = result.trace.take().unwrap_or_default();
         Ok((result, trace))
     }
 
-    fn execute<P>(
+    fn execute<P: BspProgram>(
         &self,
         program: &P,
         input: &[Word],
         want_trace: bool,
-    ) -> Result<BspRunResult<P::Proc>>
-    where
-        P: BspProgram + Sync,
-        P::Proc: Send,
-    {
+    ) -> Result<BspRunResult<P::Proc>> {
         match self.opts.routing {
-            Routing::Dense => {
-                let workers = self.opts.parallelism.workers(self.p);
-                if workers > 1 && self.faults.is_none() {
-                    self.execute_pooled_par(program, input, want_trace, workers)
-                } else {
-                    self.execute_pooled(program, input, want_trace)
-                }
-            }
+            Routing::Dense => self.execute_pooled(program, input, want_trace),
             Routing::Reference => self.execute_reference(program, input, want_trace),
         }
     }
@@ -456,12 +425,6 @@ impl BspMachine {
         let step_limit = injector
             .as_ref()
             .map_or(self.max_steps, |i| i.effective_phase_limit(self.max_steps));
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(self.p);
-            if workers > 1 {
-                inj.note(crate::qsm::parallel_fallback_notice(workers));
-            }
-        }
         // Each component's own superstep counter: advances only when it
         // actually executes, so an injected stall is a pure delay from the
         // program's point of view. Without faults this equals the global
@@ -628,12 +591,6 @@ impl BspMachine {
         let step_limit = injector
             .as_ref()
             .map_or(self.max_steps, |i| i.effective_phase_limit(self.max_steps));
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(self.p);
-            if workers > 1 {
-                inj.note(crate::qsm::parallel_fallback_notice(workers));
-            }
-        }
         let mut local_step: Vec<usize> = vec![0; self.p];
 
         // Per-run scratch, allocated once and reused across supersteps.
@@ -779,246 +736,6 @@ impl BspMachine {
             trace,
         })
     }
-
-    /// The parallel pooled path: each superstep's compute stage runs on
-    /// `workers` scoped threads over contiguous component chunks; shard
-    /// outputs merge back in component order, so message routing order,
-    /// destination validation (and its error), inbox sorting, ledgers and
-    /// traces are bit-identical to [`BspMachine::execute_pooled`] at any
-    /// thread count. Only fault-free runs take this path.
-    fn execute_pooled_par<P>(
-        &self,
-        program: &P,
-        input: &[Word],
-        want_trace: bool,
-        workers: usize,
-    ) -> Result<BspRunResult<P::Proc>>
-    where
-        P: BspProgram + Sync,
-        P::Proc: Send,
-    {
-        let cap = self.opts.trace_phase_cap;
-        let mut trace = want_trace.then(BspTrace::default);
-        let parts = self.partition(input);
-        let all_states: Vec<P::Proc> = parts
-            .iter()
-            .enumerate()
-            .map(|(pid, sl)| program.create(pid, sl))
-            .collect();
-        let mut active = vec![true; self.p];
-        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
-        let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
-        let mut ledger = self.opts.new_ledger();
-        let step_limit = self.max_steps;
-
-        let mut received: Vec<u64> = vec![0; self.p];
-
-        let mut state_iter = all_states.into_iter();
-        let mut shards: Vec<Option<BspShard<P::Proc>>> = shard_ranges(self.p, workers)
-            .into_iter()
-            .map(|r| {
-                Some(BspShard {
-                    base: r.start,
-                    step_no: 0,
-                    record: false,
-                    active: vec![true; r.len()],
-                    states: state_iter.by_ref().take(r.len()).collect(),
-                    inboxes: vec![Vec::new(); r.len()],
-                    sent: Vec::new(),
-                    received_trace: Vec::new(),
-                    outbox_buf: Vec::new(),
-                    w: 0,
-                    max_sent: 0,
-                })
-            })
-            .collect();
-
-        let work = |_w: usize, mut shard: BspShard<P::Proc>| {
-            shard.sent.clear();
-            shard.received_trace.clear();
-            shard.w = 0;
-            shard.max_sent = 0;
-            for i in 0..shard.states.len() {
-                if !shard.active[i] {
-                    continue;
-                }
-                let pid = shard.base + i;
-                let inbox = std::mem::take(&mut shard.inboxes[i]);
-                let mut ctx = Superstep::with_buffer(
-                    shard.step_no,
-                    &inbox,
-                    std::mem::take(&mut shard.outbox_buf),
-                );
-                let status = program.superstep(pid, &mut shard.states[i], &mut ctx);
-
-                let sent = ctx.outbox.len() as u64;
-                let recv = inbox.len() as u64;
-                shard.w = shard.w.max(ctx.ops + sent + recv);
-                shard.max_sent = shard.max_sent.max(sent);
-                if shard.record {
-                    shard.received_trace.push((pid, inbox.clone()));
-                }
-                let mut outbox = ctx.outbox;
-                for (dest, mut msg) in outbox.drain(..) {
-                    // Destination validation happens at merge time on the
-                    // main thread so the error matches the sequential path.
-                    msg.src = pid;
-                    shard.sent.push((dest, msg));
-                }
-                shard.outbox_buf = outbox;
-                if status == Status::Done {
-                    shard.active[i] = false;
-                }
-                let mut ib = inbox;
-                ib.clear();
-                shard.inboxes[i] = ib;
-            }
-            shard
-        };
-
-        with_pool(workers, work, move |pool| {
-            let mut step_no = 0usize;
-            while active.iter().any(|&a| a) {
-                if step_no >= step_limit {
-                    return Err(ModelError::PhaseLimitExceeded { limit: step_limit });
-                }
-                self.check_cancel(step_no)?;
-                for ib in next_inboxes.iter_mut() {
-                    ib.clear();
-                }
-                received.fill(0);
-                let mut w: u64 = 0;
-                let mut max_sent: u64 = 0;
-                let mut step_trace =
-                    trace
-                        .as_ref()
-                        .filter(|t| t.steps.len() < cap)
-                        .map(|_| BspStepTrace {
-                            sent: vec![Vec::new(); self.p],
-                            received: vec![Vec::new(); self.p],
-                            executed: vec![false; self.p],
-                            finished: vec![false; self.p],
-                        });
-
-                // Compute stage: dispatch shards, merge in component order.
-                let record = step_trace.is_some();
-                let mut tasks = Vec::with_capacity(shards.len());
-                for slot in shards.iter_mut() {
-                    let mut shard = slot.take().expect("shard not in flight");
-                    shard.step_no = step_no;
-                    shard.record = record;
-                    for i in 0..shard.active.len() {
-                        let pid = shard.base + i;
-                        shard.active[i] = active[pid];
-                        shard.inboxes[i] = std::mem::take(&mut inboxes[pid]);
-                    }
-                    tasks.push(shard);
-                }
-                let mut err: Option<ModelError> = None;
-                pool.run_round(tasks, |wk, mut shard| {
-                    if err.is_none() {
-                        w = w.max(shard.w);
-                        max_sent = max_sent.max(shard.max_sent);
-                        for &(dest, msg) in &shard.sent {
-                            if dest >= self.p {
-                                err = Some(ModelError::BadProcessor {
-                                    pid: dest,
-                                    num_procs: self.p,
-                                });
-                                break;
-                            }
-                            if let Some(st) = step_trace.as_mut() {
-                                st.sent[msg.src].push((dest, msg));
-                            }
-                            received[dest] += 1;
-                            next_inboxes[dest].push(msg);
-                        }
-                        if err.is_none() {
-                            for (pid, inbox) in shard.received_trace.drain(..) {
-                                if let Some(st) = step_trace.as_mut() {
-                                    st.received[pid] = inbox;
-                                }
-                            }
-                            for i in 0..shard.active.len() {
-                                let pid = shard.base + i;
-                                if active[pid] {
-                                    if let Some(st) = step_trace.as_mut() {
-                                        st.executed[pid] = true;
-                                    }
-                                    if !shard.active[i] {
-                                        active[pid] = false;
-                                        if let Some(st) = step_trace.as_mut() {
-                                            st.finished[pid] = true;
-                                        }
-                                    }
-                                }
-                                inboxes[pid] = std::mem::take(&mut shard.inboxes[i]);
-                            }
-                        }
-                    }
-                    shards[wk] = Some(shard);
-                });
-                if let Some(e) = err {
-                    return Err(e);
-                }
-
-                // Barrier stage: identical to the sequential pooled path
-                // (no stalled components — this path runs fault-free).
-                for ib in next_inboxes.iter_mut() {
-                    ib.sort_unstable_by_key(|m| (m.src, m.tag));
-                }
-
-                let h = max_sent.max(received.iter().copied().max().unwrap_or(0));
-                let cost = self.superstep_cost(w, h);
-                ledger.push(PhaseCost {
-                    m_op: w,
-                    m_rw: h.max(1),
-                    kappa: 1,
-                    cost,
-                });
-                if let Some(t) = trace.as_mut() {
-                    t.total_steps += 1;
-                    match step_trace {
-                        Some(st) => t.steps.push(st),
-                        None => t.truncated = true,
-                    }
-                }
-                std::mem::swap(&mut inboxes, &mut next_inboxes);
-                step_no += 1;
-            }
-
-            let mut states = Vec::with_capacity(self.p);
-            for slot in shards.iter_mut() {
-                states.extend(slot.take().expect("shard not in flight").states);
-            }
-            Ok(BspRunResult {
-                states,
-                ledger,
-                faults: None,
-                trace,
-            })
-        })
-    }
-}
-
-/// One worker's slice of the BSP machine in the parallel pooled path (see
-/// `QsmShard` in the QSM engine — same shape, message-passing payloads).
-struct BspShard<S> {
-    base: usize,
-    step_no: usize,
-    /// Whether this superstep's trace is being recorded (drives the
-    /// worker-side inbox clone for `BspStepTrace::received`).
-    record: bool,
-    active: Vec<bool>,
-    states: Vec<S>,
-    inboxes: Vec<Vec<Msg>>,
-    /// Sends emitted this superstep, (dest, src-stamped msg), in component
-    /// + send order. Destinations are validated at merge time.
-    sent: Vec<(usize, Msg)>,
-    received_trace: Vec<(usize, Vec<Msg>)>,
-    outbox_buf: Vec<(usize, Msg)>,
-    w: u64,
-    max_sent: u64,
 }
 
 #[cfg(test)]

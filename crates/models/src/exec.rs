@@ -27,7 +27,6 @@
 //! `total_phases`/`truncated` header so consumers can detect capping instead
 //! of silently analysing a prefix.
 
-use crate::par::Parallelism;
 use crate::shared::{Addr, Word};
 
 /// log2 of [`LANE_PAGE_WORDS`].
@@ -68,12 +67,6 @@ pub struct ExecOptions {
     pub trace_phase_cap: usize,
     /// Request-routing strategy (dense fast path by default).
     pub routing: Routing,
-    /// Host-thread budget for the intra-phase compute stage
-    /// ([`Parallelism::Off`] by default — single-threaded, no pool).
-    /// Only the dense fast path shards across threads; reference routing
-    /// and fault-plan runs always execute sequentially. Results are
-    /// bit-identical at every setting.
-    pub parallelism: Parallelism,
     /// Fold the cost ledger into running aggregates instead of retaining
     /// per-phase records (off by default). Streaming runs return a ledger
     /// whose aggregate accessors are identical but whose
@@ -88,7 +81,6 @@ impl Default for ExecOptions {
             record_trace: false,
             trace_phase_cap: DEFAULT_TRACE_PHASE_CAP,
             routing: Routing::Dense,
-            parallelism: Parallelism::Off,
             streaming_ledger: false,
         }
     }
@@ -97,7 +89,7 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// An empty ledger honouring [`ExecOptions::streaming_ledger`]. Engines
     /// build their run ledgers through this so a machine flips every
-    /// execution path (reference, dense, parallel, batch, compiled) with
+    /// execution path (reference, dense, batch, compiled) with
     /// one option.
     pub fn new_ledger(&self) -> crate::cost::CostLedger {
         if self.streaming_ledger {
@@ -499,7 +491,6 @@ mod tests {
         let o = ExecOptions::default();
         assert!(!o.record_trace);
         assert_eq!(o.routing, Routing::Dense);
-        assert_eq!(o.parallelism, Parallelism::Off);
         assert_eq!(o.trace_phase_cap, DEFAULT_TRACE_PHASE_CAP);
         assert!(!o.streaming_ledger);
         assert!(!o.new_ledger().is_streaming());

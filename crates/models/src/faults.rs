@@ -249,12 +249,6 @@ pub struct FaultLog {
     /// True if more than [`MAX_LOGGED_CHOICES`] arbitrations occurred and
     /// the log was truncated (exhaustive enumeration is then impossible).
     pub choices_truncated: bool,
-    /// Human-readable notices about how the *host* executed the faulted
-    /// run (e.g. requested intra-phase parallelism being disabled because
-    /// fault-plan runs execute sequentially). Notices describe the
-    /// execution strategy, not injected faults, so differential suites
-    /// compare logs with [`FaultLog::sans_notices`].
-    pub notices: Vec<String>,
 }
 
 impl FaultLog {
@@ -267,17 +261,6 @@ impl FaultLog {
     /// Total injected perturbations (a scalar for degradation tables).
     pub fn events(&self) -> u64 {
         self.dropped + self.duplicated + self.stalls_applied
-    }
-
-    /// A copy of the log with [`notices`](Self::notices) cleared. Injected
-    /// faults must be bit-identical across execution strategies (dense vs.
-    /// reference, sequential vs. requested-parallel); notices intentionally
-    /// differ by strategy, so equivalence suites compare this view.
-    pub fn sans_notices(&self) -> FaultLog {
-        FaultLog {
-            notices: Vec::new(),
-            ..self.clone()
-        }
     }
 }
 
@@ -403,12 +386,6 @@ impl FaultInjector {
         self.plan
             .phase_budget
             .map_or(machine_limit, |b| b.min(machine_limit))
-    }
-
-    /// Records a one-line host-execution notice in the log (see
-    /// [`FaultLog::notices`]).
-    pub fn note(&mut self, msg: impl Into<String>) {
-        self.log.notices.push(msg.into());
     }
 
     /// Consumes the injector, yielding its log.
@@ -584,19 +561,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 6);
-    }
-
-    #[test]
-    fn notices_record_and_strip() {
-        let mut inj = FaultInjector::new(&FaultPlan::new(1));
-        inj.note("parallelism disabled");
-        inj.pick_winner(0, 0, &[1, 2]);
-        let log = inj.into_log();
-        assert_eq!(log.notices, vec!["parallelism disabled".to_string()]);
-        let stripped = log.sans_notices();
-        assert!(stripped.notices.is_empty());
-        assert_eq!(stripped.write_choices, log.write_choices);
-        assert_ne!(stripped, log);
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
 use crate::exec::{ContentionTable, ExecOptions, Routing};
 use crate::faults::{FaultInjector, FaultLog, FaultPlan};
-use crate::par::{shard_ranges, with_pool, Parallelism};
 use crate::shared::{Addr, Status, Word};
 
 /// Contents of a GSM cell: the multiset of all information ever written,
@@ -341,14 +340,6 @@ impl GsmMachine {
         self
     }
 
-    /// Sets the host-thread budget for the intra-phase compute stage
-    /// ([`Parallelism::Off`] by default); results are bit-identical at
-    /// every setting. See [`crate::QsmMachine::with_parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.opts.parallelism = parallelism;
-        self
-    }
-
     /// Folds run ledgers into running aggregates without retaining
     /// per-phase records. See [`crate::QsmMachine::with_streaming_ledger`].
     pub fn with_streaming_ledger(mut self) -> Self {
@@ -415,42 +406,29 @@ impl GsmMachine {
     }
 
     /// Runs `program` with `input` packed γ-per-cell from address 0.
-    ///
-    /// `P: Sync` and `P::Proc: Send` admit the intra-phase parallel
-    /// executor; both bounds are vacuous for ordinary programs.
-    pub fn run<P>(&self, program: &P, input: &[Word]) -> Result<GsmRunResult>
-    where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
-    {
+    pub fn run<P: GsmProgram>(&self, program: &P, input: &[Word]) -> Result<GsmRunResult> {
         self.execute(program, input, self.opts.record_trace)
     }
 
     /// Runs `program` and records a full [`GsmTrace`].
-    pub fn run_traced<P>(&self, program: &P, input: &[Word]) -> Result<(GsmRunResult, GsmTrace)>
-    where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
-    {
+    pub fn run_traced<P: GsmProgram>(
+        &self,
+        program: &P,
+        input: &[Word],
+    ) -> Result<(GsmRunResult, GsmTrace)> {
         let mut result = self.execute(program, input, true)?;
         let trace = result.trace.take().unwrap_or_default();
         Ok((result, trace))
     }
 
-    fn execute<P>(&self, program: &P, input: &[Word], want_trace: bool) -> Result<GsmRunResult>
-    where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
-    {
+    fn execute<P: GsmProgram>(
+        &self,
+        program: &P,
+        input: &[Word],
+        want_trace: bool,
+    ) -> Result<GsmRunResult> {
         match self.opts.routing {
-            Routing::Dense => {
-                let workers = self.opts.parallelism.workers(program.num_procs());
-                if workers > 1 && self.faults.is_none() {
-                    self.execute_dense_par(program, input, want_trace, workers)
-                } else {
-                    self.execute_dense(program, input, want_trace)
-                }
-            }
+            Routing::Dense => self.execute_dense(program, input, want_trace),
             Routing::Reference => self.execute_reference(program, input, want_trace),
         }
     }
@@ -481,12 +459,6 @@ impl GsmMachine {
         let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
             i.effective_phase_limit(self.max_phases)
         });
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(n_procs);
-            if workers > 1 {
-                inj.note(crate::qsm::parallel_fallback_notice(workers));
-            }
-        }
         // Per-processor phase counters so an injected stall is a pure delay.
         let mut local_phase: Vec<usize> = vec![0; n_procs];
 
@@ -657,12 +629,6 @@ impl GsmMachine {
         let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
             i.effective_phase_limit(self.max_phases)
         });
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(n_procs);
-            if workers > 1 {
-                inj.note(crate::qsm::parallel_fallback_notice(workers));
-            }
-        }
         let mut local_phase: Vec<usize> = vec![0; n_procs];
 
         // Per-run scratch, allocated once and reused across phases.
@@ -817,248 +783,6 @@ impl GsmMachine {
             trace,
         })
     }
-
-    /// The parallel dense path: the compute stage of each phase runs on
-    /// `workers` scoped threads over contiguous pid chunks, and shard
-    /// outputs are merged back in pid order before the sequential apply
-    /// stage (conflict check in request order, reads valued against
-    /// pre-write contents, strong-queuing merge in request order) runs
-    /// unchanged — so committed cell contents, ledgers, traces and errors
-    /// are bit-identical to [`GsmMachine::execute_dense`] at any thread
-    /// count. Only fault-free runs take this path.
-    fn execute_dense_par<P>(
-        &self,
-        program: &P,
-        input: &[Word],
-        want_trace: bool,
-        workers: usize,
-    ) -> Result<GsmRunResult>
-    where
-        P: GsmProgram + Sync,
-        P::Proc: Send,
-    {
-        let cap = self.opts.trace_phase_cap;
-        let mut trace = want_trace.then(GsmTrace::default);
-        let n_procs = program.num_procs();
-        if n_procs == 0 {
-            return Err(ModelError::BadConfig(
-                "program declares zero processors".into(),
-            ));
-        }
-        let mut memory = self.initial_memory(input);
-        let mut ledger = self.opts.new_ledger();
-
-        let mut active = vec![true; n_procs];
-        let mut pending: Vec<Vec<(Addr, CellContent)>> = vec![Vec::new(); n_procs];
-        let phase_limit = self.max_phases;
-
-        let mut read_table = ContentionTable::default();
-        let mut write_table = ContentionTable::default();
-        let mut new_reads: Vec<(usize, Addr)> = Vec::new();
-        let mut new_writes: Vec<(usize, Addr, Word)> = Vec::new();
-
-        let mut shards: Vec<Option<GsmShard<P::Proc>>> = shard_ranges(n_procs, workers)
-            .into_iter()
-            .map(|r| {
-                Some(GsmShard {
-                    base: r.start,
-                    phase_no: 0,
-                    active: vec![true; r.len()],
-                    states: r.clone().map(|pid| program.create(pid)).collect(),
-                    delivered: vec![Vec::new(); r.len()],
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                    read_buf: Vec::new(),
-                    write_buf: Vec::new(),
-                    m_rw: 0,
-                    any_access: false,
-                })
-            })
-            .collect();
-
-        let work = |_w: usize, mut shard: GsmShard<P::Proc>| {
-            shard.reads.clear();
-            shard.writes.clear();
-            shard.m_rw = 0;
-            shard.any_access = false;
-            for i in 0..shard.states.len() {
-                if !shard.active[i] {
-                    continue;
-                }
-                let pid = shard.base + i;
-                let delivered = std::mem::take(&mut shard.delivered[i]);
-                let mut env = GsmEnv::with_buffers(
-                    shard.phase_no,
-                    &delivered,
-                    std::mem::take(&mut shard.read_buf),
-                    std::mem::take(&mut shard.write_buf),
-                );
-                let status = program.phase(pid, &mut shard.states[i], &mut env);
-
-                let r_i = env.reads.len() as u64;
-                let w_i = env.writes.len() as u64;
-                shard.m_rw = shard.m_rw.max(r_i.max(w_i));
-                shard.any_access |= r_i + w_i > 0;
-                for &addr in &env.reads {
-                    shard.reads.push((pid, addr));
-                }
-                for &(addr, value) in &env.writes {
-                    shard.writes.push((pid, addr, value));
-                }
-                if status == Status::Done {
-                    shard.active[i] = false;
-                }
-                let (mut r_vec, mut w_vec) = (env.reads, env.writes);
-                r_vec.clear();
-                w_vec.clear();
-                shard.read_buf = r_vec;
-                shard.write_buf = w_vec;
-                let mut d = delivered;
-                d.clear();
-                shard.delivered[i] = d;
-            }
-            shard
-        };
-
-        with_pool(workers, work, move |pool| {
-            let mut phase_no = 0usize;
-            while active.iter().any(|&a| a) {
-                if phase_no >= phase_limit {
-                    return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-                }
-                self.check_cancel(phase_no)?;
-                read_table.begin_phase();
-                write_table.begin_phase();
-                new_reads.clear();
-                new_writes.clear();
-
-                let mut m_rw: u64 = 0;
-                let mut any_access = false;
-                let mut phase_trace =
-                    trace
-                        .as_ref()
-                        .filter(|t| t.phases.len() < cap)
-                        .map(|_| GsmPhaseTrace {
-                            reads: vec![Vec::new(); n_procs],
-                            writes: vec![Vec::new(); n_procs],
-                            big_steps: 0,
-                            finished: vec![false; n_procs],
-                        });
-
-                // Compute stage: dispatch shards, merge in pid order.
-                let mut tasks = Vec::with_capacity(shards.len());
-                for slot in shards.iter_mut() {
-                    let mut shard = slot.take().expect("shard not in flight");
-                    shard.phase_no = phase_no;
-                    for i in 0..shard.active.len() {
-                        let pid = shard.base + i;
-                        shard.active[i] = active[pid];
-                        shard.delivered[i] = std::mem::take(&mut pending[pid]);
-                    }
-                    tasks.push(shard);
-                }
-                pool.run_round(tasks, |w, mut shard| {
-                    m_rw = m_rw.max(shard.m_rw);
-                    any_access |= shard.any_access;
-                    for &(pid, addr) in &shard.reads {
-                        read_table.incr(addr);
-                        new_reads.push((pid, addr));
-                    }
-                    for &(pid, addr, value) in &shard.writes {
-                        write_table.incr(addr);
-                        new_writes.push((pid, addr, value));
-                    }
-                    for i in 0..shard.active.len() {
-                        let pid = shard.base + i;
-                        if active[pid] && !shard.active[i] {
-                            active[pid] = false;
-                            if let Some(pt) = phase_trace.as_mut() {
-                                pt.finished[pid] = true;
-                            }
-                        }
-                        pending[pid] = std::mem::take(&mut shard.delivered[i]);
-                    }
-                    shards[w] = Some(shard);
-                });
-
-                // Apply stage: identical to the sequential dense path.
-                for &(_, addr, _) in &new_writes {
-                    if read_table.contains(addr) {
-                        return Err(ModelError::ReadWriteConflict {
-                            addr,
-                            phase: phase_no,
-                        });
-                    }
-                }
-
-                for &(pid, addr) in &new_reads {
-                    let contents: CellContent = memory.get(addr).to_vec();
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.reads[pid].push((addr, contents.clone()));
-                    }
-                    if active[pid] {
-                        pending[pid].push((addr, contents));
-                    }
-                }
-                for &(pid, addr, value) in &new_writes {
-                    memory.push(addr, value);
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.writes[pid].push((addr, value));
-                    }
-                }
-
-                let kappa = if any_access {
-                    read_table
-                        .max_contention()
-                        .max(write_table.max_contention())
-                } else {
-                    1
-                };
-                let b = self.big_steps(m_rw.max(1), kappa);
-                let cost = self.mu() * b;
-                ledger.push(PhaseCost {
-                    m_op: 0,
-                    m_rw: m_rw.max(1),
-                    kappa,
-                    cost,
-                });
-                if let Some(t) = trace.as_mut() {
-                    t.total_phases += 1;
-                    match phase_trace {
-                        Some(mut pt) => {
-                            pt.big_steps = b;
-                            t.phases.push(pt);
-                        }
-                        None => t.truncated = true,
-                    }
-                }
-                phase_no += 1;
-            }
-
-            Ok(GsmRunResult {
-                memory,
-                ledger,
-                faults: None,
-                trace,
-            })
-        })
-    }
-}
-
-/// One worker's slice of the GSM in the parallel dense path (see
-/// `QsmShard` in the QSM engine — same shape, GSM delivery payloads).
-struct GsmShard<S> {
-    base: usize,
-    phase_no: usize,
-    active: Vec<bool>,
-    states: Vec<S>,
-    delivered: Vec<Vec<(Addr, CellContent)>>,
-    reads: Vec<(usize, Addr)>,
-    writes: Vec<(usize, Addr, Word)>,
-    read_buf: Vec<Addr>,
-    write_buf: Vec<(Addr, Word)>,
-    m_rw: u64,
-    any_access: bool,
 }
 
 #[cfg(test)]

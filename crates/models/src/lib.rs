@@ -55,7 +55,6 @@ mod error;
 pub mod exec;
 pub mod faults;
 mod gsm;
-pub mod par;
 mod qsm;
 mod shared;
 pub mod work;
@@ -73,7 +72,6 @@ pub use gsm::{
     CellContent, GsmEnv, GsmFnProgram, GsmMachine, GsmMemory, GsmPhaseTrace, GsmProgram,
     GsmRunResult, GsmTrace,
 };
-pub use par::Parallelism;
 pub use qsm::{ExecTrace, PhaseTrace, QsmFlavor, QsmMachine, RunResult};
 pub use shared::{
     Addr, FnProgram, Memory, PhaseEnv, Program, Status, Word, PAGE_SHIFT, PAGE_WORDS,

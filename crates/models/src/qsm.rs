@@ -23,19 +23,7 @@ use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
 use crate::exec::{ContentionTable, ExecOptions, Routing, WriteRouter};
 use crate::faults::{FaultInjector, FaultLog, FaultPlan};
-use crate::par::{shard_ranges, with_pool, Parallelism};
 use crate::shared::{Addr, Memory, PhaseEnv, Program, Status, Word};
-
-/// One-line [`FaultLog`] notice emitted when a run requested intra-phase
-/// parallelism but carries a fault plan: fault-plan runs always execute
-/// sequentially (bit-identical to [`Parallelism::Fixed`]`(1)`). Shared by
-/// the QSM, GSM and BSP engines so differential suites see one string.
-pub(crate) fn parallel_fallback_notice(workers: usize) -> String {
-    format!(
-        "requested {workers}-way intra-phase parallelism disabled: \
-         fault-plan runs execute sequentially (bit-identical to Fixed(1))"
-    )
-}
 
 /// Which cost rule the machine charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,16 +245,6 @@ impl QsmMachine {
         self
     }
 
-    /// Sets the host-thread budget for the intra-phase compute stage
-    /// ([`Parallelism::Off`] by default). Results are bit-identical at
-    /// every setting; only wall-clock changes. Parallelism applies to the
-    /// dense routing path on fault-free runs — reference routing and
-    /// fault-plan runs always execute sequentially.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.opts.parallelism = parallelism;
-        self
-    }
-
     /// Folds the run's cost ledger into running aggregates instead of
     /// retaining per-phase records (see
     /// [`CostLedger::streaming`](crate::cost::CostLedger::streaming)):
@@ -327,44 +305,29 @@ impl QsmMachine {
     }
 
     /// Runs `program` on memory pre-initialized with `input` at address 0.
-    ///
-    /// `P: Sync` and `P::Proc: Send` admit the intra-phase parallel
-    /// executor (see [`QsmMachine::with_parallelism`]); both bounds are
-    /// vacuous for ordinary programs (shared immutable program, per-pid
-    /// state moved between phases).
-    pub fn run<P>(&self, program: &P, input: &[Word]) -> Result<RunResult>
-    where
-        P: Program + Sync,
-        P::Proc: Send,
-    {
+    pub fn run<P: Program>(&self, program: &P, input: &[Word]) -> Result<RunResult> {
         self.execute(program, input, self.opts.record_trace)
     }
 
     /// Runs `program` and additionally records a full [`ExecTrace`].
-    pub fn run_traced<P>(&self, program: &P, input: &[Word]) -> Result<(RunResult, ExecTrace)>
-    where
-        P: Program + Sync,
-        P::Proc: Send,
-    {
+    pub fn run_traced<P: Program>(
+        &self,
+        program: &P,
+        input: &[Word],
+    ) -> Result<(RunResult, ExecTrace)> {
         let mut result = self.execute(program, input, true)?;
         let trace = result.trace.take().unwrap_or_default();
         Ok((result, trace))
     }
 
-    fn execute<P>(&self, program: &P, input: &[Word], want_trace: bool) -> Result<RunResult>
-    where
-        P: Program + Sync,
-        P::Proc: Send,
-    {
+    fn execute<P: Program>(
+        &self,
+        program: &P,
+        input: &[Word],
+        want_trace: bool,
+    ) -> Result<RunResult> {
         match self.opts.routing {
-            Routing::Dense => {
-                let workers = self.opts.parallelism.workers(program.num_procs());
-                if workers > 1 && self.faults.is_none() {
-                    self.execute_dense_par(program, input, want_trace, workers)
-                } else {
-                    self.execute_dense(program, input, want_trace)
-                }
-            }
+            Routing::Dense => self.execute_dense(program, input, want_trace),
             Routing::Reference => self.execute_reference(program, input, want_trace),
         }
     }
@@ -394,12 +357,6 @@ impl QsmMachine {
         let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
             i.effective_phase_limit(self.max_phases)
         });
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(n_procs);
-            if workers > 1 {
-                inj.note(parallel_fallback_notice(workers));
-            }
-        }
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
         let mut active: Vec<bool> = vec![true; n_procs];
@@ -605,12 +562,6 @@ impl QsmMachine {
         let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
             i.effective_phase_limit(self.max_phases)
         });
-        if let Some(inj) = injector.as_mut() {
-            let workers = self.opts.parallelism.workers(n_procs);
-            if workers > 1 {
-                inj.note(parallel_fallback_notice(workers));
-            }
-        }
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
         let mut active: Vec<bool> = vec![true; n_procs];
@@ -780,285 +731,6 @@ impl QsmMachine {
             trace,
         })
     }
-
-    /// The parallel dense path: the compute stage of each phase is sharded
-    /// across `workers` scoped threads (contiguous pid chunks), and shard
-    /// outputs are merged back **in pid order** before the sequential apply
-    /// stage runs unchanged. Because the compute stage never touches shared
-    /// memory (reads are valued at the barrier against pre-write memory and
-    /// delivered next phase), workers are pure functions of (delivered
-    /// values, per-pid state) — so the request streams fed to the routing
-    /// tables, the arbitration RNG draws, the ledger, the trace, and every
-    /// error are bit-identical to [`QsmMachine::execute_dense`] at any
-    /// thread count. Only fault-free runs take this path.
-    fn execute_dense_par<P>(
-        &self,
-        program: &P,
-        input: &[Word],
-        want_trace: bool,
-        workers: usize,
-    ) -> Result<RunResult>
-    where
-        P: Program + Sync,
-        P::Proc: Send,
-    {
-        let mut trace = want_trace.then(ExecTrace::default);
-        let cap = self.opts.trace_phase_cap;
-        let n_procs = program.num_procs();
-        if n_procs == 0 {
-            return Err(ModelError::BadConfig(
-                "program declares zero processors".into(),
-            ));
-        }
-        let mut memory = Memory::with_limit(self.mem_limit);
-        memory.load(0, input)?;
-
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut ledger = self.opts.new_ledger();
-        let phase_limit = self.max_phases;
-
-        let mut active: Vec<bool> = vec![true; n_procs];
-        let mut pending: Vec<Vec<(Addr, Word)>> = vec![Vec::new(); n_procs];
-
-        let mut read_table = ContentionTable::default();
-        let mut writes = WriteRouter::default();
-        let mut new_reads: Vec<(usize, Addr)> = Vec::new();
-
-        // One shard bundle per worker, round-tripped through the pool each
-        // phase so its arenas (request buffers, per-pid delivery vectors)
-        // are recycled exactly like the sequential path's.
-        let mut shards: Vec<Option<QsmShard<P::Proc>>> = shard_ranges(n_procs, workers)
-            .into_iter()
-            .map(|r| {
-                Some(QsmShard {
-                    base: r.start,
-                    phase_no: 0,
-                    active: vec![true; r.len()],
-                    states: r.clone().map(|pid| program.create(pid)).collect(),
-                    delivered: vec![Vec::new(); r.len()],
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                    read_buf: Vec::new(),
-                    write_buf: Vec::new(),
-                    m_op: 0,
-                    m_rw: 0,
-                    any_access: false,
-                })
-            })
-            .collect();
-
-        let work = |_w: usize, mut shard: QsmShard<P::Proc>| {
-            shard.reads.clear();
-            shard.writes.clear();
-            shard.m_op = 0;
-            shard.m_rw = 0;
-            shard.any_access = false;
-            for i in 0..shard.states.len() {
-                if !shard.active[i] {
-                    continue;
-                }
-                let pid = shard.base + i;
-                let delivered = std::mem::take(&mut shard.delivered[i]);
-                let mut env = PhaseEnv::with_buffers(
-                    shard.phase_no,
-                    &delivered,
-                    std::mem::take(&mut shard.read_buf),
-                    std::mem::take(&mut shard.write_buf),
-                );
-                let status = program.phase(pid, &mut shard.states[i], &mut env);
-
-                let (r_vec, w_vec, ops) = env.into_requests();
-                let r_i = r_vec.len() as u64;
-                let w_i = w_vec.len() as u64;
-                shard.m_op = shard.m_op.max(ops + r_i + w_i);
-                shard.m_rw = shard.m_rw.max(r_i.max(w_i));
-                shard.any_access |= r_i + w_i > 0;
-                for &addr in &r_vec {
-                    shard.reads.push((pid, addr));
-                }
-                for &(addr, value) in &w_vec {
-                    shard.writes.push((pid, addr, value));
-                }
-                if status == Status::Done {
-                    shard.active[i] = false;
-                }
-                shard.read_buf = r_vec;
-                shard.read_buf.clear();
-                shard.write_buf = w_vec;
-                shard.write_buf.clear();
-                let mut d = delivered;
-                d.clear();
-                shard.delivered[i] = d;
-            }
-            shard
-        };
-
-        with_pool(workers, work, move |pool| {
-            let mut phase_no = 0usize;
-            while active.iter().any(|&a| a) {
-                if phase_no >= phase_limit {
-                    return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-                }
-                self.check_cancel(phase_no)?;
-                read_table.begin_phase();
-                writes.begin_phase();
-                new_reads.clear();
-
-                let mut m_op: u64 = 0;
-                let mut m_rw: u64 = 0;
-                let mut any_access = false;
-                let mut phase_trace =
-                    trace
-                        .as_ref()
-                        .filter(|t| t.phases.len() < cap)
-                        .map(|_| PhaseTrace {
-                            reads: vec![Vec::new(); n_procs],
-                            writes: vec![Vec::new(); n_procs],
-                            committed: Vec::new(),
-                            finished: vec![false; n_procs],
-                        });
-
-                // Compute stage: dispatch every shard, then merge outputs in
-                // worker (= pid) order so the request streams below are
-                // byte-for-byte those of the sequential loop.
-                let mut tasks = Vec::with_capacity(shards.len());
-                for slot in shards.iter_mut() {
-                    let mut shard = slot.take().expect("shard not in flight");
-                    shard.phase_no = phase_no;
-                    for i in 0..shard.active.len() {
-                        let pid = shard.base + i;
-                        shard.active[i] = active[pid];
-                        shard.delivered[i] = std::mem::take(&mut pending[pid]);
-                    }
-                    tasks.push(shard);
-                }
-                pool.run_round(tasks, |w, mut shard| {
-                    m_op = m_op.max(shard.m_op);
-                    m_rw = m_rw.max(shard.m_rw);
-                    any_access |= shard.any_access;
-                    for &(pid, addr) in &shard.reads {
-                        read_table.incr(addr);
-                        new_reads.push((pid, addr));
-                    }
-                    for &(pid, addr, value) in &shard.writes {
-                        writes.push(addr, value);
-                        if let Some(pt) = phase_trace.as_mut() {
-                            pt.writes[pid].push((addr, value));
-                        }
-                    }
-                    for i in 0..shard.active.len() {
-                        let pid = shard.base + i;
-                        if active[pid] && !shard.active[i] {
-                            active[pid] = false;
-                            if let Some(pt) = phase_trace.as_mut() {
-                                pt.finished[pid] = true;
-                            }
-                        }
-                        pending[pid] = std::mem::take(&mut shard.delivered[i]);
-                    }
-                    shards[w] = Some(shard);
-                });
-
-                // Apply stage: identical to the sequential dense path.
-                writes.route();
-                for &addr in writes.sorted_addrs() {
-                    if read_table.contains(addr) {
-                        return Err(ModelError::ReadWriteConflict {
-                            addr,
-                            phase: phase_no,
-                        });
-                    }
-                }
-
-                for &(pid, addr) in &new_reads {
-                    let v = memory.get(addr);
-                    if active[pid] {
-                        pending[pid].push((addr, v));
-                    }
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.reads[pid].push((addr, v));
-                    }
-                }
-                for (addr, values) in writes.groups() {
-                    let value = if values.len() == 1 {
-                        values[0]
-                    } else {
-                        values[rng.gen_range(0..values.len())]
-                    };
-                    memory.set(addr, value)?;
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.committed.push((addr, value));
-                    }
-                }
-
-                let write_contention = writes.max_contention();
-                let kappa = if any_access {
-                    read_table.max_contention().max(write_contention)
-                } else {
-                    1
-                };
-                let kappa = match self.flavor {
-                    QsmFlavor::QsmUnitConcurrentReads => write_contention,
-                    _ => kappa,
-                };
-
-                let cost = self.phase_cost(m_op, m_rw, kappa);
-                ledger.push(PhaseCost {
-                    m_op,
-                    m_rw: m_rw.max(1),
-                    kappa,
-                    cost,
-                });
-                if let Some(t) = trace.as_mut() {
-                    t.total_phases += 1;
-                    match phase_trace {
-                        Some(pt) => t.phases.push(pt),
-                        None => t.truncated = true,
-                    }
-                }
-                phase_no += 1;
-            }
-
-            Ok(RunResult {
-                memory,
-                ledger,
-                faults: None,
-                trace,
-            })
-        })
-    }
-}
-
-/// One worker's slice of the simulated machine in the parallel dense path:
-/// a contiguous pid chunk's states plus the arenas its requests are emitted
-/// into. Round-trips between the main thread and its worker every phase.
-struct QsmShard<S> {
-    /// First global pid of the chunk.
-    base: usize,
-    /// Global phase number (equals every active pid's local phase: the
-    /// parallel path runs fault-free, so no processor ever stalls).
-    phase_no: usize,
-    /// Per-pid activity, refreshed from the main thread before dispatch;
-    /// the worker clears entries that return [`Status::Done`].
-    active: Vec<bool>,
-    /// Per-pid program states (owned by the shard for the whole run).
-    states: Vec<S>,
-    /// Per-pid delivery buffers, moved in from `pending` and back.
-    delivered: Vec<Vec<(Addr, Word)>>,
-    /// Read requests emitted this phase, (global pid, addr), pid-major.
-    reads: Vec<(usize, Addr)>,
-    /// Write requests emitted this phase, (global pid, addr, value).
-    writes: Vec<(usize, Addr, Word)>,
-    /// Recycled [`PhaseEnv`] request arenas (worker-local).
-    read_buf: Vec<Addr>,
-    /// Recycled [`PhaseEnv`] write arena (worker-local).
-    write_buf: Vec<(Addr, Word)>,
-    /// Shard-local max of per-processor op counts.
-    m_op: u64,
-    /// Shard-local max of per-processor request counts.
-    m_rw: u64,
-    /// Whether any pid in the shard issued a request this phase.
-    any_access: bool,
 }
 
 #[cfg(test)]

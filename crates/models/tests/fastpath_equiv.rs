@@ -23,7 +23,7 @@ use parbounds_algo::prefix::prefix_in_rounds;
 use parbounds_algo::reduce::tree_reduce;
 use parbounds_algo::util::ReduceOp;
 use parbounds_models::{
-    BspMachine, FaultPlan, FnProgram, GsmMachine, Parallelism, QsmMachine, Routing, Status, Word,
+    BspMachine, FaultPlan, FnProgram, GsmMachine, QsmMachine, Routing, Status, Word,
 };
 
 fn bits(n: usize, stride: usize) -> Vec<Word> {
@@ -52,252 +52,6 @@ fn qsm_equiv<T>(
             assert_eq!(format!("{de}"), format!("{re}"), "{label}: error");
         }
         _ => panic!("{label}: divergent outcomes (dense vs reference)"),
-    }
-}
-
-/// Thread counts every parallel sweep exercises: 1 (a pool that must match
-/// the poolless path), 2 and 4 (real sharding), 7 (odd, uneven shards —
-/// and oversubscription once a machine has fewer processors).
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 7];
-
-/// Runs `f` on the sequential dense machine and on the parallel dense path
-/// at every [`THREAD_SWEEP`] count, asserting full run-record equality
-/// (ledger, memory, fault log, trace — or identical errors).
-fn qsm_par_equiv<T>(
-    machine: QsmMachine,
-    label: &str,
-    f: impl Fn(&QsmMachine) -> parbounds_models::Result<T>,
-    run_of: impl Fn(&T) -> &parbounds_models::RunResult,
-) {
-    let sequential = f(&machine);
-    for threads in THREAD_SWEEP {
-        let par = f(&machine
-            .clone()
-            .with_parallelism(Parallelism::Fixed(threads)));
-        match (&sequential, &par) {
-            (Ok(s), Ok(p)) => {
-                let (s, p) = (run_of(s), run_of(p));
-                assert_eq!(s.ledger, p.ledger, "{label} threads={threads}: ledger");
-                assert_eq!(s.memory, p.memory, "{label} threads={threads}: memory");
-                // Injected faults must match bit for bit; host-execution
-                // notices intentionally differ (a requested-parallel run
-                // records its sequential fallback, the baseline does not).
-                assert_eq!(
-                    s.faults.as_ref().map(|f| f.sans_notices()),
-                    p.faults.as_ref().map(|f| f.sans_notices()),
-                    "{label} threads={threads}: fault log"
-                );
-                assert_eq!(s.trace, p.trace, "{label} threads={threads}: trace");
-            }
-            (Err(se), Err(pe)) => {
-                assert_eq!(
-                    format!("{se}"),
-                    format!("{pe}"),
-                    "{label} threads={threads}: error"
-                );
-            }
-            _ => panic!("{label} threads={threads}: divergent outcomes (sequential vs parallel)"),
-        }
-    }
-}
-
-#[test]
-fn qsm_families_parallel_matches_sequential() {
-    for flavor in [
-        QsmMachine::qsm(3),
-        QsmMachine::sqsm(2),
-        QsmMachine::qsm_unit_cr(3),
-    ] {
-        for n in [1usize, 9, 64] {
-            let input = bits(n, 3);
-            qsm_par_equiv(
-                flavor.clone().with_tracing(),
-                &format!("par or_write_tree n={n}"),
-                move |m| or_write_tree(m, &input, 2),
-                |o| &o.run,
-            );
-        }
-    }
-    for (n, p) in [(8usize, 2usize), (31, 7), (64, 7)] {
-        let input: Vec<Word> = (0..n as Word).collect();
-        qsm_par_equiv(
-            QsmMachine::qsm(2).with_tracing(),
-            &format!("par prefix n={n} p={p}"),
-            move |m| prefix_in_rounds(m, &input, p, ReduceOp::Sum),
-            |o| &o.run,
-        );
-    }
-    // Dart throwing: the parallel merge must feed the arbitration RNG the
-    // exact request order the sequential loop would.
-    for n in [8usize, 32] {
-        let input: Vec<Word> = (0..n).map(|i| Word::from(i % 3 != 0)).collect();
-        qsm_par_equiv(
-            QsmMachine::qsm(2),
-            &format!("par lac_dart n={n}"),
-            move |m| lac_dart(m, &input, 2 * n, 0xfeed),
-            |o| &o.run,
-        );
-    }
-}
-
-#[test]
-fn auto_parallelism_matches_sequential() {
-    // `Parallelism::Auto` resolves through PARBOUNDS_THREADS and then host
-    // parallelism — the knob ci.sh sweeps (=1 and =4). Whatever it
-    // resolves to, the run record must not move.
-    for n in [9usize, 64] {
-        let input = bits(n, 3);
-        let machine = QsmMachine::qsm(3).with_tracing();
-        let sequential = or_write_tree(&machine, &input, 2).unwrap();
-        let auto = or_write_tree(
-            &machine.clone().with_parallelism(Parallelism::Auto),
-            &input,
-            2,
-        )
-        .unwrap();
-        assert_eq!(sequential.run.ledger, auto.run.ledger, "auto n={n}: ledger");
-        assert_eq!(sequential.run.memory, auto.run.memory, "auto n={n}: memory");
-        assert_eq!(sequential.run.trace, auto.run.trace, "auto n={n}: trace");
-        assert_eq!(sequential.value, auto.value, "auto n={n}: value");
-    }
-    let bsp_input: Vec<Word> = (0..40).collect();
-    let machine = BspMachine::new(7, 2, 8).unwrap();
-    let sequential = bsp_reduce(&machine, &bsp_input, 2, ReduceOp::Sum).unwrap();
-    let auto = bsp_reduce(
-        &machine.clone().with_parallelism(Parallelism::Auto),
-        &bsp_input,
-        2,
-        ReduceOp::Sum,
-    )
-    .unwrap();
-    assert_eq!(sequential.ledger, auto.ledger, "auto bsp: ledger");
-    assert_eq!(sequential.value, auto.value, "auto bsp: value");
-}
-
-#[test]
-fn qsm_fault_plans_parallel_falls_back_identically() {
-    // Fault-plan runs take the sequential path even when parallelism is
-    // requested; the whole record (including the FaultLog) must not move.
-    let input = bits(64, 2);
-    for plan in [
-        FaultPlan::new(11).with_stall(0, 1).with_stall(3, 2),
-        FaultPlan::new(13).with_phase_budget(2),
-    ] {
-        let input = input.clone();
-        qsm_par_equiv(
-            QsmMachine::qsm(3).with_faults(plan).with_tracing(),
-            "par or_write_tree under faults",
-            move |m| or_write_tree(m, &input, 2),
-            |o| &o.run,
-        );
-    }
-}
-
-/// Regression test for the PR 5 edge case where a fault-plan run that
-/// requests intra-phase parallelism silently fell back to sequential
-/// execution: the fallback must be bit-identical to `Fixed(1)` (same
-/// ledger, memory, trace and injected faults), and the run must now say so
-/// with a one-line [`parbounds_models::FaultLog`] notice instead of
-/// staying silent.
-#[test]
-fn qsm_fault_fallback_is_noted_and_identical_to_one_thread() {
-    let input = bits(64, 2);
-    let plan = FaultPlan::new(11).with_stall(0, 1).with_stall(3, 2);
-    let machine = QsmMachine::qsm(3).with_faults(plan).with_tracing();
-
-    let one = or_write_tree(
-        &machine.clone().with_parallelism(Parallelism::Fixed(1)),
-        &input,
-        2,
-    )
-    .unwrap();
-    let four = or_write_tree(&machine.with_parallelism(Parallelism::Fixed(4)), &input, 2).unwrap();
-
-    // Bit-identical execution record.
-    assert_eq!(one.run.ledger, four.run.ledger);
-    assert_eq!(one.run.memory, four.run.memory);
-    assert_eq!(one.run.trace, four.run.trace);
-    let (one_log, four_log) = (one.run.faults.unwrap(), four.run.faults.unwrap());
-    assert_eq!(one_log.sans_notices(), four_log.sans_notices());
-
-    // Fixed(1) requests no host parallelism, so nothing to disclose; the
-    // Fixed(4) fallback must announce itself in exactly one notice.
-    assert!(one_log.notices.is_empty(), "{:?}", one_log.notices);
-    assert_eq!(four_log.notices.len(), 1, "{:?}", four_log.notices);
-    assert!(
-        four_log.notices[0].contains("4-way intra-phase parallelism disabled"),
-        "{:?}",
-        four_log.notices
-    );
-    assert!(four_log.notices[0].contains("bit-identical to Fixed(1)"));
-}
-
-#[test]
-fn gsm_trees_parallel_match_sequential() {
-    for (alpha, beta, gamma) in [(1u64, 1u64, 1u64), (4, 2, 8)] {
-        for n in [1usize, 16, 70] {
-            let input = bits(n, 2);
-            let machine = GsmMachine::new(alpha, beta, gamma).with_tracing();
-            let seq = gsm_tree_reduce(&machine, &input, 3, ReduceOp::Sum).unwrap();
-            for threads in THREAD_SWEEP {
-                let par = machine
-                    .clone()
-                    .with_parallelism(Parallelism::Fixed(threads));
-                let got = gsm_tree_reduce(&par, &input, 3, ReduceOp::Sum).unwrap();
-                assert_eq!(got.value, seq.value, "GSM value n={n} threads={threads}");
-                assert_eq!(got.run.ledger, seq.run.ledger, "GSM ledger");
-                assert_eq!(got.run.memory, seq.run.memory, "GSM memory");
-                assert_eq!(got.run.trace, seq.run.trace, "GSM trace");
-                let gp = gsm_parity(&par, &input).unwrap();
-                let gs = gsm_parity(&machine, &input).unwrap();
-                assert_eq!(gp.value, gs.value);
-                assert_eq!(gp.run.ledger, gs.run.ledger);
-            }
-        }
-    }
-}
-
-#[test]
-fn bsp_families_parallel_match_sequential() {
-    for p in [1usize, 4, 7, 13] {
-        let machine = BspMachine::new(p, 2, 8).unwrap().with_tracing();
-        let input: Vec<Word> = (0..23).collect();
-        let seq = bsp_reduce(&machine, &input, 2, ReduceOp::Sum).unwrap();
-        let seq_sort = bsp_sort_odd_even(&machine, &input).unwrap();
-        for threads in THREAD_SWEEP {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let got = bsp_reduce(&par, &input, 2, ReduceOp::Sum).unwrap();
-            assert_eq!(got.value, seq.value, "bsp_reduce p={p} threads={threads}");
-            assert_eq!(got.ledger, seq.ledger);
-            assert_eq!(got.trace, seq.trace);
-            let got = bsp_sort_odd_even(&par, &input).unwrap();
-            assert_eq!(got.concat(), seq_sort.concat(), "bsp_sort p={p}");
-            assert_eq!(got.ledger, seq_sort.ledger);
-        }
-    }
-}
-
-#[test]
-fn bsp_bad_destination_parallel_matches_sequential_error() {
-    let prog = parbounds_models::BspFnProgram::new(
-        |_, _: &[Word]| (),
-        |pid, _, ctx: &mut parbounds_models::Superstep<'_>| {
-            if pid == 2 {
-                ctx.send(99, 0, 0);
-            }
-            Status::Done
-        },
-    );
-    let machine = BspMachine::new(4, 1, 1).unwrap();
-    let seq = machine.run(&prog, &[]).unwrap_err();
-    for threads in THREAD_SWEEP {
-        let par = machine
-            .clone()
-            .with_parallelism(Parallelism::Fixed(threads));
-        let got = par.run(&prog, &[]).unwrap_err();
-        assert_eq!(format!("{got}"), format!("{seq}"), "threads={threads}");
     }
 }
 
@@ -508,6 +262,26 @@ fn bsp_fault_plans_pooled_match_reference() {
     }
 }
 
+#[test]
+fn bsp_bad_destination_pooled_matches_reference_error() {
+    let prog = parbounds_models::BspFnProgram::new(
+        |_, _: &[Word]| (),
+        |pid, _, ctx: &mut parbounds_models::Superstep<'_>| {
+            if pid == 2 {
+                ctx.send(99, 0, 0);
+            }
+            Status::Done
+        },
+    );
+    let machine = BspMachine::new(4, 1, 1).unwrap();
+    let pooled = machine.run(&prog, &[]).unwrap_err();
+    let reference = machine
+        .with_reference_routing()
+        .run(&prog, &[])
+        .unwrap_err();
+    assert_eq!(format!("{pooled}"), format!("{reference}"));
+}
+
 /// A data-driven random schedule: request descriptors `(pid, phase, addr,
 /// write)` are replayed verbatim, so a generated schedule can contain
 /// arbitrary contention — including same-phase read/write conflicts, whose
@@ -573,46 +347,6 @@ proptest! {
                     prop_assert_eq!(format!("{de}"), format!("{re}"));
                 }
                 _ => prop_assert!(false, "divergent outcomes"),
-            }
-        }
-    }
-
-    /// Random request schedules at a random thread count in 1..=8 (with
-    /// n_procs < 9, this includes oversubscription): the parallel dense
-    /// path's full observable state — memory, ledger, fault log (always
-    /// `None` here), trace when enabled — equals the single-threaded dense
-    /// path, and errors match message for message.
-    #[test]
-    fn random_schedules_parallel_matches_sequential(
-        n_procs in 1usize..9,
-        n_phases in 1usize..5,
-        g in 1u64..6,
-        threads in 1usize..=8,
-        reqs in proptest::collection::vec(
-            (0usize..16, 0usize..4, 0usize..24, any::<bool>()), 0..48),
-    ) {
-        let prog = random_schedule(n_procs, n_phases, reqs);
-        let input: Vec<Word> = (0..8).collect();
-        for machine in [
-            QsmMachine::qsm(g).with_tracing(),
-            QsmMachine::sqsm(g),
-            QsmMachine::qsm_unit_cr(g).with_trace_cap(2).with_tracing(),
-        ] {
-            let sequential = machine.clone().run(&prog, &input);
-            let parallel = machine
-                .with_parallelism(Parallelism::Fixed(threads))
-                .run(&prog, &input);
-            match (&sequential, &parallel) {
-                (Ok(s), Ok(p)) => {
-                    prop_assert_eq!(&s.ledger, &p.ledger);
-                    prop_assert_eq!(&s.memory, &p.memory);
-                    prop_assert_eq!(&s.faults, &p.faults);
-                    prop_assert_eq!(&s.trace, &p.trace);
-                }
-                (Err(se), Err(pe)) => {
-                    prop_assert_eq!(format!("{se}"), format!("{pe}"));
-                }
-                _ => prop_assert!(false, "divergent outcomes (threads={})", threads),
             }
         }
     }

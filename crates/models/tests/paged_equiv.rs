@@ -5,22 +5,12 @@
 //! through a [`Memory`] and a plain `Vec<Word>` mirror and require
 //! cell-for-cell agreement; further tests pin the *logical* equality
 //! semantics (an absent page equals an all-zero page, however the zeros
-//! were produced), the sparse-footprint guarantee (far-apart addresses
-//! allocate only the pages they touch), and — across the Section 8
-//! algorithm families on every engine at `Fixed{1,2,4}` threads — that
-//! the committed paged memory of a run materializes to exactly the same
-//! dense word vector at every parallelism level.
+//! were produced) and the sparse-footprint guarantee (far-apart addresses
+//! allocate only the pages they touch).
 
 use proptest::prelude::*;
 
-use parbounds_algo::bsp_algos::{bsp_prefix_sums, bsp_reduce};
-use parbounds_algo::gsm_algos::{gsm_parity, gsm_tree_reduce};
-use parbounds_algo::or_tree::or_write_tree;
-use parbounds_algo::parity::parity_pattern_helper;
-use parbounds_algo::prefix::prefix_in_rounds;
-use parbounds_algo::reduce::tree_reduce;
-use parbounds_algo::util::ReduceOp;
-use parbounds_models::{BspMachine, GsmMachine, Memory, Parallelism, QsmMachine, Word, PAGE_WORDS};
+use parbounds_models::{Memory, Word, PAGE_WORDS};
 
 /// Address space the op-sequence tests roam over: several pages, so page
 /// boundaries and fresh-page allocation are both exercised.
@@ -119,162 +109,4 @@ fn sparse_writes_allocate_only_touched_pages() {
         "footprint stays near two pages, got {}",
         mem.footprint_bytes()
     );
-}
-
-fn bits(n: usize, stride: usize) -> Vec<Word> {
-    (0..n).map(|i| Word::from(i % stride == 0)).collect()
-}
-
-/// Thread counts the family sweep compares: the poolless baseline and the
-/// sharded parallel executors.
-const THREADS: [usize; 3] = [1, 2, 4];
-
-/// Runs one shared-memory family at every thread count and asserts the
-/// committed paged memory materializes to the same dense vector.
-fn assert_dense_stable<T>(
-    label: &str,
-    machine: QsmMachine,
-    f: impl Fn(&QsmMachine) -> parbounds_models::Result<T>,
-    run_of: impl Fn(&T) -> &parbounds_models::RunResult,
-) {
-    let base = f(&machine.clone().with_parallelism(Parallelism::Fixed(1))).unwrap();
-    let base_mem = run_of(&base).memory.slice(0, run_of(&base).memory.extent());
-    for threads in THREADS {
-        let got = f(&machine
-            .clone()
-            .with_parallelism(Parallelism::Fixed(threads)))
-        .unwrap();
-        let run = run_of(&got);
-        assert_eq!(
-            run.memory,
-            run_of(&base).memory,
-            "{label}: paged eq t={threads}"
-        );
-        assert_eq!(
-            run.memory.slice(0, run.memory.extent()),
-            base_mem,
-            "{label}: dense cells t={threads}"
-        );
-    }
-}
-
-#[test]
-fn shared_families_dense_cells_stable_across_threads() {
-    for n in [8usize, 64, 200] {
-        let input = bits(n, 3);
-        for (name, mk) in [
-            ("qsm", QsmMachine::qsm as fn(u64) -> QsmMachine),
-            ("sqsm", QsmMachine::sqsm as fn(u64) -> QsmMachine),
-        ] {
-            let machine = mk(4);
-            let inp = input.clone();
-            assert_dense_stable(
-                &format!("{name}/or-tree n={n}"),
-                machine.clone(),
-                move |m| or_write_tree(m, &inp, 2),
-                |o| &o.run,
-            );
-            let inp = input.clone();
-            assert_dense_stable(
-                &format!("{name}/parity n={n}"),
-                machine.clone(),
-                move |m| parity_pattern_helper(m, &inp, 2),
-                |o| &o.run,
-            );
-            let inp = input.clone();
-            assert_dense_stable(
-                &format!("{name}/reduce n={n}"),
-                machine.clone(),
-                move |m| tree_reduce(m, &inp, 3, ReduceOp::Sum),
-                |o| &o.run,
-            );
-            let inp = input.clone();
-            let p = (n / 4).max(1);
-            assert_dense_stable(
-                &format!("{name}/prefix n={n}"),
-                machine,
-                move |m| prefix_in_rounds(m, &inp, p, ReduceOp::Sum),
-                |o| &o.run,
-            );
-        }
-    }
-}
-
-#[test]
-fn gsm_families_dense_cells_stable_across_threads() {
-    for n in [8usize, 70] {
-        let input = bits(n, 2);
-        let machine = GsmMachine::new(4, 2, 8);
-        let seq = gsm_tree_reduce(
-            &machine.clone().with_parallelism(Parallelism::Fixed(1)),
-            &input,
-            3,
-            ReduceOp::Sum,
-        )
-        .unwrap();
-        let seq_parity = gsm_parity(
-            &machine.clone().with_parallelism(Parallelism::Fixed(1)),
-            &input,
-        )
-        .unwrap();
-        for threads in THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let got = gsm_tree_reduce(&par, &input, 3, ReduceOp::Sum).unwrap();
-            assert_eq!(
-                got.run.memory, seq.run.memory,
-                "gsm reduce n={n} t={threads}"
-            );
-            // Materialize the queued cells in address order: the GSM's
-            // cell map must agree entry for entry, not just as a whole.
-            let dense = |m: &parbounds_models::GsmMemory| {
-                let mut cells: Vec<_> = m.cells().map(|(a, c)| (a, c.to_vec())).collect();
-                cells.sort();
-                cells
-            };
-            assert_eq!(dense(&got.run.memory), dense(&seq.run.memory));
-            let gp = gsm_parity(&par, &input).unwrap();
-            assert_eq!(
-                gp.run.memory, seq_parity.run.memory,
-                "gsm parity n={n} t={threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn bsp_families_stable_across_threads() {
-    let input: Vec<Word> = (0..37).collect();
-    for p in [1usize, 4, 7] {
-        let machine = BspMachine::new(p, 2, 8).unwrap();
-        let seq = bsp_reduce(
-            &machine.clone().with_parallelism(Parallelism::Fixed(1)),
-            &input,
-            2,
-            ReduceOp::Sum,
-        )
-        .unwrap();
-        let seq_prefix = bsp_prefix_sums(
-            &machine.clone().with_parallelism(Parallelism::Fixed(1)),
-            &input,
-            2,
-        )
-        .unwrap();
-        for threads in THREADS {
-            let par = machine
-                .clone()
-                .with_parallelism(Parallelism::Fixed(threads));
-            let got = bsp_reduce(&par, &input, 2, ReduceOp::Sum).unwrap();
-            assert_eq!(got.value, seq.value, "bsp reduce p={p} t={threads}");
-            assert_eq!(got.ledger, seq.ledger);
-            let got = bsp_prefix_sums(&par, &input, 2).unwrap();
-            assert_eq!(
-                got.concat(),
-                seq_prefix.concat(),
-                "bsp prefix p={p} t={threads}"
-            );
-            assert_eq!(got.ledger, seq_prefix.ledger);
-        }
-    }
 }

@@ -5,9 +5,6 @@
 //! requests, further submissions are shed immediately with the typed
 //! `overloaded` error and a `retry_after_ms` hint — the queue never grows
 //! without bound and a slow worker pool cannot wedge accepting threads.
-//! Worker sizing reuses the models' [`Parallelism`] resolution, so the
-//! same `PARBOUNDS_THREADS` knob that bounds intra-phase simulation
-//! parallelism bounds the service.
 //!
 //! Time spent queued counts against a request's deadline: the worker
 //! shrinks `deadline_ms` by the queue wait before handling, so a request
@@ -21,8 +18,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use parbounds_models::Parallelism;
-
 use crate::json;
 use crate::oracle::{Oracle, OracleConfig};
 use crate::wire::{ErrorCode, Request, Response};
@@ -30,8 +25,8 @@ use crate::wire::{ErrorCode, Request, Response};
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads; 0 resolves via [`Parallelism::Auto`]
-    /// (`PARBOUNDS_THREADS`, then host parallelism).
+    /// Worker threads; 0 means one per host thread
+    /// ([`std::thread::available_parallelism`]).
     pub workers: usize,
     /// Pending requests admitted before shedding load.
     pub queue_cap: usize,
@@ -92,13 +87,10 @@ impl Server {
     /// Starts the worker pool.
     pub fn start(cfg: ServerConfig) -> Self {
         let workers = if cfg.workers == 0 {
-            // `workers(usize::MAX)` leaves Auto's host-resolution
-            // unclamped; the simulated-processor clamp is irrelevant here.
-            Parallelism::Auto.workers(usize::MAX)
+            thread::available_parallelism().map_or(1, usize::from)
         } else {
             cfg.workers
-        }
-        .max(1);
+        };
         let shared = Arc::new(Shared {
             oracle: Oracle::new(cfg.oracle),
             queue: Mutex::new(QueueState {

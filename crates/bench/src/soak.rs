@@ -17,7 +17,9 @@
 //!   distributed batches is monotone non-decreasing, and the cache never
 //!   exceeds its capacity;
 //! * **deadline discipline** — no request's wall latency exceeds twice
-//!   its deadline budget.
+//!   its deadline budget, and a connection answers a malformed frame and
+//!   the valid one after it within the default deadline, even when one
+//!   string fills the malformed frame to the frame cap.
 //!
 //! Everything is seeded: two soaks with the same [`SoakConfig`] replay
 //! the same request schedule.
@@ -625,14 +627,26 @@ fn observe(
 }
 
 /// Pushes a deliberately broken frame (garbage bytes, truncated JSON, an
-/// oversized frame, or a wrong-schema object) through the connection loop
-/// and checks the connection answers with a typed error and stays up.
+/// oversized frame, a wrong-schema object, or a wrong-schema object whose
+/// one string fills it to just under the frame cap) through the connection
+/// loop and checks the connection answers with a typed error and stays up,
+/// both answers within the oracle's default deadline.
 fn chaos_wire_frame(server: &Server, rng: &mut ChaCha8Rng, tally: &Mutex<Tally>) {
-    let frame = match rng.gen_range(0..4u32) {
+    let frame = match rng.gen_range(0..5u32) {
         0 => "not json at all".to_string(),
         1 => "{\"id\":1,\"kind\":\"static\"".to_string(), // truncated
         2 => format!("{{\"pad\":\"{}\"}}", "x".repeat(2 << 20)), // oversized
-        _ => "{\"id\":9,\"kind\":\"warp\",\"family\":{\"name\":\"or-write-tree\"}}".to_string(),
+        3 => "{\"id\":9,\"kind\":\"warp\",\"family\":{\"name\":\"or-write-tree\"}}".to_string(),
+        _ => {
+            // No plan, and a tenant that fills the frame: decode must stay
+            // linear in the frame to answer in time.
+            let shell = "{\"id\":9,\"kind\":\"static\",\"tenant\":\"\"}";
+            let fill = server.config().max_frame_bytes - shell.len() - 1;
+            format!(
+                "{{\"id\":9,\"kind\":\"static\",\"tenant\":\"{}\"}}",
+                "x".repeat(fill)
+            )
+        }
     };
     // Follow the bad frame with a good one: the connection must survive.
     let good = Request {
@@ -652,13 +666,22 @@ fn chaos_wire_frame(server: &Server, rng: &mut ChaCha8Rng, tally: &Mutex<Tally>)
     .render();
     let input = format!("{frame}\n{good}\n");
     let mut out = Vec::new();
+    let begun = Instant::now();
     server.serve_connection(input.as_bytes(), &mut out);
+    let took = begun.elapsed();
     let text = String::from_utf8_lossy(&out);
     let lines: Vec<&str> = text.lines().collect();
 
     let mut t = tally.lock().expect("tally lock");
     t.wire_faults += 1;
     t.wire_responses += lines.len();
+    let deadline = server.config().oracle.default_deadline;
+    if took > deadline {
+        t.violations.push(format!(
+            "a {}-byte malformed frame and a valid one took {took:?} to answer, past the {deadline:?} deadline",
+            frame.len()
+        ));
+    }
     if lines.len() != 2 {
         t.violations.push(format!(
             "connection produced {} responses to 2 frames (1 malformed)",

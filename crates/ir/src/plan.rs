@@ -30,7 +30,7 @@ use parbounds_models::{Addr, ModelError, Result, Word};
 /// Mirrors `parbounds_algo::ReduceOp` exactly (identity and application)
 /// so IR-lifted families compute the same values as their hand-written
 /// counterparts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CombineOp {
     /// Integer addition.
     Sum,
@@ -71,7 +71,7 @@ impl CombineOp {
 
 /// How a processor's register file reacts to the values delivered by the
 /// previous phase's reads (QSM/GSM) or this superstep's inbox (BSP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Update {
     /// Leave the registers untouched; delivered values are discarded.
     Keep,
@@ -89,7 +89,7 @@ pub enum Update {
 }
 
 /// A value expression over the processor's register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueRule {
     /// A literal constant.
     Const(Word),
@@ -143,7 +143,7 @@ impl fmt::Display for ValueRule {
 /// single source of data dependence in the IR, which is what makes the
 /// saturating-schedule convention (assume every guard fires) a sound
 /// worst case for static analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// Requests are always issued.
     Always,
@@ -153,7 +153,7 @@ pub enum Guard {
 
 /// One shared-memory write: a destination cell and the value rule
 /// producing the written word.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WriteSpec {
     /// Destination cell.
     pub addr: Addr,
@@ -162,7 +162,7 @@ pub struct WriteSpec {
 }
 
 /// What one processor does in one shared-memory phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProcPhase {
     /// The processor this entry describes.
     pub pid: usize,
@@ -228,7 +228,7 @@ impl ProcPhase {
 /// Processors of the plan that have no entry in a phase are *idle but
 /// active*: the simulators still call them and they contribute zero to
 /// every maximum, exactly as an entry with no requests would.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SharedPhase {
     /// Human-readable label (used in diagnostics and rendered tables).
     pub label: String,
@@ -250,7 +250,7 @@ impl SharedPhase {
 }
 
 /// One BSP message send: destination component, tag, and value rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SendSpec {
     /// Destination component.
     pub dest: usize,
@@ -261,7 +261,7 @@ pub struct SendSpec {
 }
 
 /// What one BSP component does in one superstep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompStep {
     /// The component this entry describes.
     pub pid: usize,
@@ -304,7 +304,7 @@ impl CompStep {
 }
 
 /// One superstep of a BSP plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MsgStep {
     /// Human-readable label.
     pub label: String,
@@ -327,7 +327,7 @@ impl MsgStep {
 
 /// How a BSP component's register file is seeded from its partition of the
 /// input (the shared-memory models instead read the input from cells).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InitRule {
     /// Seed register 0 with a constant.
     Const(Word),
@@ -336,7 +336,7 @@ pub enum InitRule {
 }
 
 /// The phases of a plan, in the idiom of its model family.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PlanBody {
     /// Shared-memory phases (QSM, s-QSM, GSM).
     Shared(Vec<SharedPhase>),
@@ -350,7 +350,7 @@ pub enum PlanBody {
 }
 
 /// The concrete machine a plan is scheduled for, with its cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// QSM with gap `g`: phase cost `max{m_op, g·m_rw, κ}`.
     Qsm {
@@ -408,7 +408,7 @@ impl ModelKind {
 }
 
 /// Where a plan's result lives after the final phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputDecl {
     /// A shared-memory region `[base, base + len)`.
     Region {
@@ -423,7 +423,7 @@ pub enum OutputDecl {
 
 /// A complete declarative schedule: model, processor count, input/output
 /// declarations, contention contract, and the phase descriptors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PhasePlan {
     /// Family name (used in reports and diagnostics).
     pub family: String,

@@ -1,7 +1,9 @@
 //! Content-addressed response cache with single-flight deduplication.
 //!
-//! The cache maps a request's content address (FNV-1a over the canonical
-//! `(kind, plan, input)` encoding) to its answer. Concurrent requests for
+//! The cache maps a request's content address to its answer: the
+//! structural FNV-1a hash of `(kind, plan, input)` from
+//! [`Request::cache_key`](crate::wire::Request::cache_key), which is
+//! process-local and never persisted or sent. Concurrent requests for
 //! the same key coalesce: exactly one caller becomes the *leader* and
 //! computes; the rest block on a condvar and receive the leader's answer.
 //! A leader that fails *abandons* the slot — errors are never cached, and

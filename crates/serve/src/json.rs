@@ -5,9 +5,11 @@
 //! protocol needs. Numbers are integers only (`i128` internally, wide
 //! enough for both [`Word`](parbounds_models::Word) values and `u64`
 //! costs with no rounding); the parser enforces a nesting-depth cap so a
-//! hostile frame cannot blow the stack.
+//! hostile frame cannot blow the stack, and decodes in one pass, so its
+//! time is linear in the frame however the frame is shaped.
 
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// Maximum nesting depth the parser accepts. Legitimate plans nest about
 /// seven levels deep; anything past this cap is a hostile or corrupt
@@ -89,8 +91,7 @@ impl Json {
     }
 
     /// Renders the value as compact JSON text (no whitespace). Object
-    /// field order is preserved, so equal values render identically —
-    /// which is what makes the rendering usable as a content-address.
+    /// field order is preserved, so equal values render identically.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -243,50 +244,78 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or backslash
+            // whole. Both are ASCII, so the run ends on a character
+            // boundary, and every byte of the frame is validated once.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "non-utf8 string")?);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// Decodes the escape whose backslash was just consumed and steps past
+    /// it.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .hex4(self.pos + 1)
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                self.pos += 4;
+                // A high surrogate followed by a low-surrogate escape is one
+                // non-BMP scalar; a lone surrogate decodes to U+FFFD.
+                let low = if (0xd800..0xdc00).contains(&code)
+                    && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                {
+                    self.hex4(self.pos + 3)
+                        .filter(|low| (0xdc00..0xe000).contains(low))
+                } else {
+                    None
+                };
+                let scalar = match low {
+                    Some(low) => {
+                        self.pos += 6;
+                        0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                    }
+                    None => code,
+                };
+                char::from_u32(scalar).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The value of exactly four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.bytes
+            .get(at..at + 4)?
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -341,15 +370,50 @@ impl Parser<'_> {
     }
 }
 
-/// FNV-1a 64-bit hash of a byte string — the service's content address
-/// for plan/input pairs. Deterministic across runs and platforms.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, 64-bit: the service's one content hash.
+///
+/// As a [`Hasher`] it hashes any `#[derive(Hash)]` value field by field,
+/// which is how the request cache key and the compiled-plan key address a
+/// plan without rendering it. `Hash` feeds integers in native byte order
+/// and width, so such a structural key is process-local: it is never
+/// persisted or sent.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The structural FNV-1a hash of `value`.
+    pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = Fnv1a::default();
+        value.hash(&mut h);
+        h.finish()
     }
-    h
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit hash of a byte string. Deterministic across runs and
+/// platforms.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -389,5 +453,78 @@ mod tests {
     fn fnv_is_stable() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        // The FNV-1a test vector for "a".
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn unicode_escapes_pair_surrogates_and_take_four_hex_digits() {
+        let decode = |text: &str| parse(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(decode(r#""\ud83d\ude00""#), Ok(Some("😀".to_string())));
+        assert_eq!(decode(r#""a\uD83D\uDE00b""#), Ok(Some("a😀b".to_string())));
+        // Lone surrogates, and a high surrogate whose next escape is not a
+        // low one, stay U+FFFD; the following escape still decodes.
+        assert_eq!(decode(r#""\ud83d""#), Ok(Some("\u{fffd}".to_string())));
+        assert_eq!(decode(r#""\ude00x""#), Ok(Some("\u{fffd}x".to_string())));
+        assert_eq!(
+            decode(r#""\ud83d\u0041""#),
+            Ok(Some("\u{fffd}A".to_string()))
+        );
+        assert_eq!(
+            decode(r#""\ud83d\ud83d\ude00""#),
+            Ok(Some("\u{fffd}😀".to_string()))
+        );
+        assert_eq!(decode(r#""\u0041\u00e9""#), Ok(Some("Aé".to_string())));
+        // Exactly four hex digits: no sign, no short or truncated escape.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u41""#).is_err());
+        assert!(parse(r#""\u004"#).is_err());
+        assert!(parse(r#""\ud83d\u+e00""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_round_trip_across_runs_and_escapes() {
+        let pieces = [
+            "plain ascii run ",
+            "Θ(g·log n/(log g))",
+            "😀",
+            "\"",
+            "\\",
+            "/",
+            "\n",
+            "\r",
+            "\t",
+            "\u{8}",
+            "\u{c}",
+            "\u{1}",
+            "\u{1f}",
+        ];
+        let mut long = String::new();
+        for i in 0..20_000 {
+            long.push_str(pieces[i % pieces.len()]);
+            long.push_str(pieces[(i * 7 + 3) % pieces.len()]);
+        }
+        let value = Json::Obj(vec![("s".to_string(), Json::Str(long.clone()))]);
+        let text = value.render();
+        assert_eq!(parse(&text), Ok(value));
+        // The escapes the renderer never emits decode to the same text.
+        let mut escaped = String::from("\"");
+        for c in long.chars().take(4096) {
+            match c {
+                '/' => escaped.push_str("\\/"),
+                '\u{8}' => escaped.push_str("\\b"),
+                '\u{c}' => escaped.push_str("\\f"),
+                '😀' => escaped.push_str("\\ud83d\\ude00"),
+                'Θ' => escaped.push_str("\\u0398"),
+                c => {
+                    let quoted = Json::Str(c.to_string()).render();
+                    escaped.push_str(&quoted[1..quoted.len() - 1]);
+                }
+            }
+        }
+        escaped.push('"');
+        let prefix: String = long.chars().take(4096).collect();
+        assert_eq!(parse(&escaped), Ok(Json::Str(prefix)));
     }
 }

@@ -35,9 +35,9 @@ use parbounds_models::{CancelToken, ModelError, Word};
 
 use crate::budget::TenantBudgets;
 use crate::cache::{CacheSnapshot, Lease, OracleCache};
-use crate::json::fnv1a;
+use crate::json::Fnv1a;
 use crate::wire::{
-    plan_to_json, Answer, ErrorCode, PlanSource, QueryKind, Request, Response, WireDiag, WireError,
+    Answer, ErrorCode, PlanSource, QueryKind, Request, Response, WireDiag, WireError,
 };
 
 /// Bounded FIFO cache of compiled plans, keyed by the plan's content
@@ -79,7 +79,7 @@ impl CompiledCache {
     /// `None` means the plan is compile-ineligible and callers should use
     /// the checked interpreter.
     fn get_or_compile(&self, plan: &PhasePlan) -> Result<Option<Arc<CompiledPlan>>, ModelError> {
-        let key = fnv1a(plan_to_json(plan).render().as_bytes());
+        let key = Fnv1a::hash_of(plan);
         if let Some(hit) = self
             .inner
             .lock()
@@ -488,6 +488,39 @@ mod tests {
     }
 
     #[test]
+    fn inline_copy_of_a_family_request_is_served_from_the_cache() {
+        let oracle = Oracle::new(OracleConfig::default());
+        let family = Request {
+            id: 1,
+            tenant: "a".to_string(),
+            kind: QueryKind::Run,
+            deadline_ms: None,
+            trip_at_phase: None,
+            plan: PlanSource::Family {
+                name: "broadcast".to_string(),
+                n: 64,
+                seed: 3,
+            },
+            input: None,
+        };
+        let first = oracle.handle(&family);
+        assert!(first.result.is_ok() && !first.cached);
+
+        let (_, plan, input) = ir_family_plan("broadcast", 64, 3).unwrap();
+        let inline = Request {
+            id: 2,
+            tenant: "b".to_string(),
+            plan: PlanSource::Inline(plan),
+            input: Some(input),
+            ..family
+        };
+        let second = oracle.handle(&inline);
+        assert!(second.cached, "the inline copy asks the family's question");
+        assert_eq!(second.result, first.result);
+        assert_eq!(oracle.analyses_performed(), 1);
+    }
+
+    #[test]
     fn compiled_cache_is_bounded_fifo() {
         let cache = CompiledCache::new(2);
         for n in [8usize, 16, 32, 64] {
@@ -495,7 +528,7 @@ mod tests {
             assert!(cache.len() <= 2);
         }
         // Oldest entries were evicted; the newest survives.
-        let key = fnv1a(plan_to_json(&sweep_plan(64)).render().as_bytes());
+        let key = Fnv1a::hash_of(&sweep_plan(64));
         assert!(cache
             .inner
             .lock()

@@ -13,7 +13,7 @@ use parbounds_ir::{
 };
 use parbounds_models::{CostLedger, PhaseCost, Word};
 
-use crate::json::{fnv1a, Json};
+use crate::json::{Fnv1a, Json};
 
 /// What the client wants the oracle to do with the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -383,16 +383,14 @@ impl Request {
         })
     }
 
-    /// The request's content address: FNV-1a over the canonical rendering
-    /// of `(kind, plan, input)`. Tenant, id and deadline are deliberately
+    /// The request's content address: the structural [`Fnv1a`] hash of
+    /// `(kind, plan, input)`. A plan's fields are exactly what
+    /// [`plan_to_json`] encodes, so an inline plan and the family request
+    /// it copies share a key. Tenant, id and deadline are deliberately
     /// excluded — two tenants asking the same question share the answer.
+    /// The key is process-local: it is never persisted or sent.
     pub fn cache_key(&self, resolved_plan: &PhasePlan, resolved_input: &[Word]) -> u64 {
-        let keyed = Json::Obj(vec![
-            ("kind".to_string(), Json::Str(self.kind.name().to_string())),
-            ("plan".to_string(), plan_to_json(resolved_plan)),
-            ("input".to_string(), words_to_json(resolved_input)),
-        ]);
-        fnv1a(keyed.render().as_bytes())
+        Fnv1a::hash_of(&(self.kind.name(), resolved_plan, resolved_input))
     }
 }
 
@@ -1269,6 +1267,67 @@ mod tests {
         assert_eq!(a.cache_key(&plan, &input), b.cache_key(&plan, &input));
         a.kind = QueryKind::Run;
         assert_ne!(a.cache_key(&plan, &input), b.cache_key(&plan, &input));
+    }
+
+    #[test]
+    fn cache_key_addresses_the_plan_content() {
+        let (_, plan, input) = ir_family_plan("prefix-sweep", 64, 2).unwrap();
+        let family = Request {
+            id: 1,
+            tenant: "a".to_string(),
+            kind: QueryKind::Run,
+            deadline_ms: None,
+            trip_at_phase: None,
+            plan: PlanSource::Family {
+                name: "prefix-sweep".to_string(),
+                n: 64,
+                seed: 2,
+            },
+            input: None,
+        };
+        let key = family.cache_key(&plan, &input);
+
+        // The inline copy of the family plan, decoded off the wire, asks the
+        // same question and gets the same key.
+        let mut inline = family.clone();
+        inline.plan = PlanSource::Inline(plan.clone());
+        inline.input = Some(input.clone());
+        let inline = Request::from_json(&parse(&inline.to_json().render()).unwrap()).unwrap();
+        let PlanSource::Inline(decoded) = &inline.plan else {
+            panic!("an inline request decodes to an inline plan");
+        };
+        assert_eq!(
+            inline.cache_key(decoded, inline.input.as_ref().unwrap()),
+            key
+        );
+
+        let mut other_kind = family.clone();
+        other_kind.kind = QueryKind::Compare;
+        assert_ne!(other_kind.cache_key(&plan, &input), key, "kind");
+
+        let mut other_input = input.clone();
+        other_input[5] += 1;
+        assert_ne!(family.cache_key(&plan, &other_input), key, "input word");
+
+        let mut moved = plan.clone();
+        let PlanBody::Shared(phases) = &mut moved.body else {
+            panic!("prefix-sweep is a shared-memory plan");
+        };
+        let write = phases
+            .iter_mut()
+            .flat_map(|p| &mut p.procs)
+            .flat_map(|e| &mut e.writes)
+            .next()
+            .expect("prefix-sweep writes");
+        write.addr += 1;
+        assert_ne!(family.cache_key(&moved, &input), key, "write address");
+
+        let mut relabelled = plan.clone();
+        let PlanBody::Shared(phases) = &mut relabelled.body else {
+            panic!("prefix-sweep is a shared-memory plan");
+        };
+        phases[0].label.push('\'');
+        assert_ne!(family.cache_key(&relabelled, &input), key, "phase label");
     }
 
     #[test]

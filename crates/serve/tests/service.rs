@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parbounds_analyze::{certify_writes, ir_family_plan, predict_ledger};
 use parbounds_ir::execute_plan;
@@ -313,6 +313,39 @@ fn malformed_frames_do_not_kill_the_connection() {
     assert!(
         ok.result.is_ok(),
         "connection still serves after bad frames"
+    );
+}
+
+/// Decoding is linear in the frame: a frame whose `tenant` string fills it
+/// to just under the frame cap still gets its typed answer within a second.
+#[test]
+fn frame_filled_by_one_string_is_answered_promptly() {
+    const CAP: usize = 1 << 20;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        max_frame_bytes: CAP,
+        ..ServerConfig::default()
+    });
+    let mut req = family_request(5, QueryKind::Static, "or-write-tree", 32, 0);
+    req.tenant.clear();
+    let shell = req.to_json().render().len();
+    req.tenant = "t".repeat(CAP - shell - 1);
+    let mut frame = req.to_json().render();
+    assert_eq!(frame.len(), CAP - 1);
+    frame.push('\n');
+
+    let begun = Instant::now();
+    let mut out = Vec::new();
+    server.serve_connection(frame.as_bytes(), &mut out);
+    let took = begun.elapsed();
+    let text = String::from_utf8(out).unwrap();
+    let resp =
+        Response::from_json(&parbounds_serve::json::parse(text.trim_end()).unwrap()).unwrap();
+    assert_eq!(resp.id, 5);
+    assert!(resp.result.is_ok(), "{:?}", resp.result);
+    assert!(
+        took < Duration::from_secs(1),
+        "a {CAP}-byte frame took {took:?} to answer"
     );
 }
 

@@ -50,10 +50,9 @@ struct ProcDesc {
 struct LevelPlan {
     /// Base address of this level's value cells (level 0 = input).
     value_base: Addr,
-    /// Base address of each group's `2^c` team cells.
+    /// Base address of each group's `2^c` team cells, where the group size
+    /// `c` equals `k` except possibly for the last group.
     team_bases: Vec<Addr>,
-    /// Group size `c` (equals `k` except possibly the last group).
-    group_sizes: Vec<usize>,
 }
 
 struct ParityHelperProgram {
@@ -78,11 +77,9 @@ impl ParityHelperProgram {
         while width > 1 {
             let num_groups = width.div_ceil(k);
             let mut team_bases = Vec::with_capacity(num_groups);
-            let mut group_sizes = Vec::with_capacity(num_groups);
             for group in 0..num_groups {
                 let c = k.min(width - group * k);
                 team_bases.push(layout.alloc(1 << c));
-                group_sizes.push(c);
                 for pattern in 0..1u32 << c {
                     for idx in 0..c as u32 {
                         procs.push(ProcDesc {
@@ -104,7 +101,6 @@ impl ParityHelperProgram {
             levels.push(LevelPlan {
                 value_base,
                 team_bases,
-                group_sizes,
             });
             value_base = next_base;
             width = num_groups;
@@ -119,7 +115,6 @@ impl ParityHelperProgram {
             levels.push(LevelPlan {
                 value_base: 0,
                 team_bases: vec![],
-                group_sizes: vec![],
             });
             procs.push(ProcDesc {
                 level: 0,
@@ -178,7 +173,6 @@ impl Program for ParityHelperProgram {
             return Status::Active;
         }
         let group = d.group as usize;
-        let c = plan.group_sizes[group];
         let team_cell = plan.team_bases[group] + d.pattern as usize;
         if d.idx != u32::MAX {
             // Checker.
@@ -214,7 +208,6 @@ impl Program for ParityHelperProgram {
                             self.out
                         };
                         let par = Word::from(d.pattern.count_ones() % 2);
-                        let _ = c;
                         env.write(next_base + group, par);
                     }
                     Status::Done

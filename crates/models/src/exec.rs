@@ -18,16 +18,23 @@
 //!
 //! Both strategies are **bit-identical** observationally: same
 //! [`CostLedger`](crate::cost::CostLedger), same arbitration winners (RNG
-//! draws and [`FaultInjector`](crate::faults::FaultInjector) choice points
-//! happen in the same order), same fault behaviour, same committed memory.
+//! draws and [`FaultInjector`] choice points happen in the same order),
+//! same fault behaviour, same committed memory.
 //! The differential suite in `models/tests/fastpath_equiv.rs` enforces this.
+//!
+//! The dense QSM and GSM engines share one collect stage, `LiveSet`: the
+//! phase loop visits only the processors still running, and their
+//! deliveries lie back to back in one flat arena, so a phase costs per
+//! live processor rather than per declared one.
 //!
 //! Tracing is opt-in ([`ExecOptions::record_trace`]) and bounded: at most
 //! [`ExecOptions::trace_phase_cap`] phases are retained, and traces carry a
 //! `total_phases`/`truncated` header so consumers can detect capping instead
 //! of silently analysing a prefix.
 
-use crate::shared::{Addr, Word};
+use crate::error::{ModelError, Result};
+use crate::faults::FaultInjector;
+use crate::shared::{Addr, Status, Word};
 
 /// log2 of [`LANE_PAGE_WORDS`].
 pub const LANE_PAGE_SHIFT: usize = 14;
@@ -423,6 +430,170 @@ impl WriteRouter {
     /// Maximum per-address write count this phase, floored at 1.
     pub fn max_contention(&self) -> u64 {
         u64::from(self.max.max(1))
+    }
+}
+
+/// One live processor of a [`LiveSet`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    pid: u32,
+    /// Phases this processor has been stalled so far: its own phase
+    /// counter is the global phase minus this lag.
+    lag: u32,
+    /// Deliveries it holds in the arena for its next executed phase.
+    held: u32,
+}
+
+/// The collect stage of the dense QSM and GSM engines: which processors are
+/// still running, and the reads they have in flight.
+///
+/// Live processors are kept in pid order and compacted in place each
+/// phase, so the phase loop visits only them, in the order the reference
+/// engines visit active processors: write buckets, RNG draws and
+/// fault-injector calls happen in the same order. A slot's deliveries lie
+/// back to back in one flat arena, slot after slot; the arena is
+/// double-buffered across phases. `T` is the delivered value: a [`Word`]
+/// on the QSM, a cell's whole contents on the GSM.
+#[derive(Debug)]
+pub(crate) struct LiveSet<T> {
+    slots: Vec<Slot>,
+    /// Deliveries consumed this phase, in slot order.
+    arena: Vec<(Addr, T)>,
+    /// Deliveries for the next phase, in slot order: fresh reservations
+    /// plus the slices carried over from stalled processors.
+    next: Vec<(Addr, T)>,
+    /// Ranges of `next` carried this phase; they keep their values.
+    carried: Vec<(usize, usize)>,
+}
+
+/// Reserves next-phase delivery slots for one processor's reads.
+pub(crate) struct Fresh<'a, T>(&'a mut Vec<(Addr, T)>);
+
+impl<T: Default> Fresh<'_, T> {
+    /// Reserves one unvalued slot per read, in request order.
+    #[inline]
+    pub(crate) fn reserve(&mut self, reads: &[Addr]) {
+        self.0
+            .extend(reads.iter().map(|&addr| (addr, T::default())));
+    }
+}
+
+impl<T: Default> LiveSet<T> {
+    /// All `n_procs` processors live, holding no deliveries. Slots store
+    /// pids as `u32`, so larger programs are refused, as are empty ones.
+    pub(crate) fn new(n_procs: usize) -> Result<Self> {
+        if n_procs == 0 {
+            return Err(ModelError::BadConfig(
+                "program declares zero processors".into(),
+            ));
+        }
+        let n = u32::try_from(n_procs).map_err(|_| {
+            ModelError::BadConfig(format!(
+                "program declares {n_procs} processors; at most {} are supported",
+                u32::MAX
+            ))
+        })?;
+        Ok(LiveSet {
+            slots: (0..n)
+                .map(|pid| Slot {
+                    pid,
+                    lag: 0,
+                    held: 0,
+                })
+                .collect(),
+            arena: Vec::new(),
+            next: Vec::new(),
+            carried: Vec::new(),
+        })
+    }
+
+    /// Whether every processor has finished.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Runs one phase over the live processors in pid order. A processor
+    /// the injector crashes aborts the run; one it stalls skips the phase
+    /// and its deliveries are carried, unchanged, to its next executed
+    /// phase. Every other processor runs `exec(pid, local_phase,
+    /// delivered, fresh)`, which reserves slots for the processor's reads
+    /// through `fresh` and returns its status; a finished processor leaves
+    /// the set and its reservations are dropped.
+    pub(crate) fn collect<F>(
+        &mut self,
+        phase: usize,
+        mut injector: Option<&mut FaultInjector>,
+        mut exec: F,
+    ) -> Result<()>
+    where
+        F: FnMut(usize, usize, &[(Addr, T)], &mut Fresh<'_, T>) -> Status,
+    {
+        std::mem::swap(&mut self.arena, &mut self.next);
+        self.carried.clear();
+        let mut start = 0;
+        let mut kept = 0;
+        for i in 0..self.slots.len() {
+            let mut slot = self.slots[i];
+            let pid = slot.pid as usize;
+            let end = start + slot.held as usize;
+            let delivered = &mut self.arena[start..end];
+            start = end;
+            let from = self.next.len();
+            if let Some(inj) = injector.as_deref_mut() {
+                if inj.crash_at(pid, phase) {
+                    return Err(ModelError::FaultAborted {
+                        phase,
+                        reason: format!("processor {pid} crashed"),
+                    });
+                }
+                if inj.stall_at(pid, phase) {
+                    self.next.extend(delivered.iter_mut().map(std::mem::take));
+                    self.carried.push((from, self.next.len()));
+                    slot.lag = slot.lag.checked_add(1).ok_or_else(|| {
+                        ModelError::BadConfig(format!(
+                            "processor {pid} stalled more than {} times",
+                            u32::MAX
+                        ))
+                    })?;
+                    self.slots[kept] = slot;
+                    kept += 1;
+                    continue;
+                }
+            }
+            let local_phase = phase - slot.lag as usize;
+            let status = exec(pid, local_phase, delivered, &mut Fresh(&mut self.next));
+            if status == Status::Done {
+                self.next.truncate(from);
+                continue;
+            }
+            slot.held = u32::try_from(self.next.len() - from).map_err(|_| {
+                ModelError::BadConfig(format!(
+                    "processor {pid} issued more than {} reads in phase {phase}",
+                    u32::MAX
+                ))
+            })?;
+            self.slots[kept] = slot;
+            kept += 1;
+        }
+        self.slots.truncate(kept);
+        self.arena.clear();
+        Ok(())
+    }
+
+    /// Values the slots reserved this phase with `value(addr)`. Call it
+    /// after the read/write conflict check and before writes commit, so
+    /// reads see pre-write memory; carried slices keep their values.
+    pub(crate) fn value_fresh(&mut self, mut value: impl FnMut(Addr) -> T) {
+        let mut from = 0;
+        for &(start, end) in &self.carried {
+            for d in &mut self.next[from..start] {
+                d.1 = value(d.0);
+            }
+            from = end;
+        }
+        for d in &mut self.next[from..] {
+            d.1 = value(d.0);
+        }
     }
 }
 

@@ -18,9 +18,9 @@ use std::collections::HashMap;
 use crate::cancel::CancelToken;
 use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
-use crate::exec::{ContentionTable, ExecOptions, Routing};
+use crate::exec::{ContentionTable, ExecOptions, LiveSet, Routing};
 use crate::faults::{FaultInjector, FaultLog, FaultPlan};
-use crate::shared::{Addr, Status, Word};
+use crate::shared::{Addr, Status, Word, DEFAULT_MEM_LIMIT, PAGE_SHIFT, PAGE_WORDS};
 
 /// Contents of a GSM cell: the multiset of all information ever written,
 /// in commit order (writes within a phase are merged in processor order,
@@ -155,25 +155,76 @@ where
 }
 
 /// GSM shared memory: every cell accumulates all information written to it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Cells live in pages of [`PAGE_WORDS`] cells, as in [`Memory`]: a page
+/// is allocated on the first write into it and grows to the highest cell
+/// written there, so a run pays for the cells near the ones it touches,
+/// not for the address space. Writes at or beyond [`DEFAULT_MEM_LIMIT`]
+/// fail. Equality is logical: an unwritten cell equals an empty one,
+/// whatever the page layout.
+///
+/// [`Memory`]: crate::Memory
+#[derive(Debug, Clone, Default)]
 pub struct GsmMemory {
-    cells: HashMap<Addr, CellContent>,
+    /// Page table, indexed by `addr >> PAGE_SHIFT`; an empty page is
+    /// unwritten.
+    pages: Vec<Vec<CellContent>>,
 }
+
+impl PartialEq for GsmMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells().eq(other.cells())
+    }
+}
+
+impl Eq for GsmMemory {}
 
 impl GsmMemory {
     /// Contents of `addr` (empty slice if never written).
+    #[inline]
     pub fn get(&self, addr: Addr) -> &[Word] {
-        self.cells.get(&addr).map(|c| c.as_slice()).unwrap_or(&[])
+        self.pages
+            .get(addr >> PAGE_SHIFT)
+            .and_then(|page| page.get(addr & (PAGE_WORDS - 1)))
+            .map_or(&[], |c| c.as_slice())
     }
 
-    /// Appends `value` to the cell.
-    pub fn push(&mut self, addr: Addr, value: Word) {
-        self.cells.entry(addr).or_default().push(value);
+    /// Appends `value` to the cell. Fails with
+    /// [`ModelError::MemoryLimitExceeded`] at or beyond
+    /// [`DEFAULT_MEM_LIMIT`].
+    #[inline]
+    pub fn push(&mut self, addr: Addr, value: Word) -> Result<()> {
+        if addr >= DEFAULT_MEM_LIMIT {
+            return Err(ModelError::MemoryLimitExceeded {
+                addr,
+                limit: DEFAULT_MEM_LIMIT,
+            });
+        }
+        self.cell_mut(addr).push(value);
+        Ok(())
     }
 
-    /// All touched cells.
+    /// All written cells, in address order.
     pub fn cells(&self) -> impl Iterator<Item = (Addr, &[Word])> {
-        self.cells.iter().map(|(&a, c)| (a, c.as_slice()))
+        self.pages.iter().enumerate().flat_map(|(pi, page)| {
+            page.iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_empty())
+                .map(move |(i, c)| ((pi << PAGE_SHIFT) + i, c.as_slice()))
+        })
+    }
+
+    /// The cell at `addr`, allocating (or growing) its page.
+    fn cell_mut(&mut self, addr: Addr) -> &mut CellContent {
+        let (pi, i) = (addr >> PAGE_SHIFT, addr & (PAGE_WORDS - 1));
+        if pi >= self.pages.len() {
+            self.pages.resize_with(pi + 1, Vec::new);
+        }
+        let page = &mut self.pages[pi];
+        if i >= page.len() {
+            page.resize_with(i + 1, Vec::new);
+        }
+        &mut page[i]
     }
 }
 
@@ -394,8 +445,8 @@ impl GsmMachine {
     /// about up to γ inputs, disjoint across cells).
     pub fn initial_memory(&self, input: &[Word]) -> GsmMemory {
         let mut mem = GsmMemory::default();
-        for (i, &v) in input.iter().enumerate() {
-            mem.push((i / self.gamma as usize) as Addr, v);
+        for (addr, cell) in input.chunks(self.gamma as usize).enumerate() {
+            *mem.cell_mut(addr) = cell.to_vec();
         }
         mem
     }
@@ -554,7 +605,7 @@ impl GsmMachine {
             }
             // Strong queuing: all written information merges into the cell.
             for &(pid, addr, value) in &new_writes {
-                memory.push(addr, value);
+                memory.push(addr, value)?;
                 if let Some(pt) = phase_trace.as_mut() {
                     pt.writes[pid].push((addr, value));
                 }
@@ -602,8 +653,9 @@ impl GsmMachine {
         })
     }
 
-    /// The dense fast path: epoch-stamped contention tables and
-    /// arena-pooled request buffers. Observationally identical to
+    /// The dense fast path: the [`LiveSet`] collect stage shared with the
+    /// QSM engine, epoch-stamped contention tables and recycled request
+    /// buffers. Observationally identical to
     /// [`GsmMachine::execute_reference`].
     fn execute_dense<P: GsmProgram>(
         &self,
@@ -614,41 +666,35 @@ impl GsmMachine {
         let cap = self.opts.trace_phase_cap;
         let mut trace = want_trace.then(GsmTrace::default);
         let n_procs = program.num_procs();
-        if n_procs == 0 {
-            return Err(ModelError::BadConfig(
-                "program declares zero processors".into(),
-            ));
-        }
+        let mut live = LiveSet::<CellContent>::new(n_procs)?;
         let mut memory = self.initial_memory(input);
         let mut ledger = self.opts.new_ledger();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
-        let mut active = vec![true; n_procs];
-        let mut pending: Vec<Vec<(Addr, CellContent)>> = vec![Vec::new(); n_procs];
         let mut injector = self.faults.as_ref().map(FaultInjector::new);
         let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
             i.effective_phase_limit(self.max_phases)
         });
-        let mut local_phase: Vec<usize> = vec![0; n_procs];
 
         // Per-run scratch, allocated once and reused across phases.
         let mut read_table = ContentionTable::default();
         let mut write_table = ContentionTable::default();
-        let mut new_reads: Vec<(usize, Addr)> = Vec::new();
         let mut new_writes: Vec<(usize, Addr, Word)> = Vec::new();
+        // Every read of the phase as (pid, addr), kept only when tracing.
+        let mut traced_reads: Vec<(usize, Addr)> = Vec::new();
         let mut read_buf: Vec<Addr> = Vec::new();
         let mut write_buf: Vec<(Addr, Word)> = Vec::new();
 
         let mut phase_no = 0usize;
-        while active.iter().any(|&a| a) {
+        while !live.is_empty() {
             if phase_no >= phase_limit {
                 return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
             }
             self.check_cancel(phase_no)?;
             read_table.begin_phase();
             write_table.begin_phase();
-            new_reads.clear();
             new_writes.clear();
+            traced_reads.clear();
 
             let mut m_rw: u64 = 0;
             let mut any_access = false;
@@ -663,60 +709,42 @@ impl GsmMachine {
                         finished: vec![false; n_procs],
                     });
 
-            for pid in 0..n_procs {
-                if !active[pid] {
-                    continue;
-                }
-                if let Some(inj) = injector.as_mut() {
-                    if inj.crash_at(pid, phase_no) {
-                        return Err(ModelError::FaultAborted {
-                            phase: phase_no,
-                            reason: format!("processor {pid} crashed"),
-                        });
-                    }
-                    if inj.stall_at(pid, phase_no) {
-                        continue;
-                    }
-                }
-                let delivered = std::mem::take(&mut pending[pid]);
-                let mut env = GsmEnv::with_buffers(
-                    local_phase[pid],
-                    &delivered,
-                    std::mem::take(&mut read_buf),
-                    std::mem::take(&mut write_buf),
-                );
-                let status = program.phase(pid, &mut states[pid], &mut env);
-                local_phase[pid] += 1;
+            live.collect(
+                phase_no,
+                injector.as_mut(),
+                |pid, local_phase, delivered, fresh| {
+                    let mut env = GsmEnv::with_buffers(
+                        local_phase,
+                        delivered,
+                        std::mem::take(&mut read_buf),
+                        std::mem::take(&mut write_buf),
+                    );
+                    let status = program.phase(pid, &mut states[pid], &mut env);
+                    let (mut r_vec, mut w_vec) = (env.reads, env.writes);
+                    let r_i = r_vec.len() as u64;
+                    let w_i = w_vec.len() as u64;
+                    m_rw = m_rw.max(r_i.max(w_i));
+                    any_access |= r_i + w_i > 0;
 
-                let r_i = env.reads.len() as u64;
-                let w_i = env.writes.len() as u64;
-                m_rw = m_rw.max(r_i.max(w_i));
-                any_access |= r_i + w_i > 0;
-
-                for &addr in &env.reads {
-                    read_table.incr(addr);
-                    new_reads.push((pid, addr));
-                }
-                for &(addr, value) in &env.writes {
-                    write_table.incr(addr);
-                    new_writes.push((pid, addr, value));
-                }
-                if status == Status::Done {
-                    active[pid] = false;
+                    for &addr in &r_vec {
+                        read_table.incr(addr);
+                    }
+                    fresh.reserve(&r_vec);
+                    for &(addr, value) in &w_vec {
+                        write_table.incr(addr);
+                        new_writes.push((pid, addr, value));
+                    }
                     if let Some(pt) = phase_trace.as_mut() {
-                        pt.finished[pid] = true;
+                        traced_reads.extend(r_vec.iter().map(|&addr| (pid, addr)));
+                        pt.finished[pid] = status == Status::Done;
                     }
-                }
-                // Recycle every buffer touched this phase.
-                let (mut r_vec, mut w_vec) = (env.reads, env.writes);
-                r_vec.clear();
-                w_vec.clear();
-                read_buf = r_vec;
-                write_buf = w_vec;
-                let mut d = delivered;
-                d.clear();
-                pending[pid] = d;
-            }
+                    r_vec.clear();
+                    w_vec.clear();
+                    read_buf = r_vec;
+                    write_buf = w_vec;
+                    status
+                },
+            )?;
 
             for &(_, addr, _) in &new_writes {
                 if read_table.contains(addr) {
@@ -728,18 +756,15 @@ impl GsmMachine {
             }
 
             // Value reads against pre-write contents.
-            for &(pid, addr) in &new_reads {
-                let contents: CellContent = memory.get(addr).to_vec();
-                if let Some(pt) = phase_trace.as_mut() {
-                    pt.reads[pid].push((addr, contents.clone()));
-                }
-                if active[pid] {
-                    pending[pid].push((addr, contents));
+            live.value_fresh(|addr| memory.get(addr).to_vec());
+            if let Some(pt) = phase_trace.as_mut() {
+                for &(pid, addr) in &traced_reads {
+                    pt.reads[pid].push((addr, memory.get(addr).to_vec()));
                 }
             }
             // Strong queuing: all written information merges into the cell.
             for &(pid, addr, value) in &new_writes {
-                memory.push(addr, value);
+                memory.push(addr, value)?;
                 if let Some(pt) = phase_trace.as_mut() {
                     pt.writes[pid].push((addr, value));
                 }

@@ -74,5 +74,6 @@ pub use gsm::{
 };
 pub use qsm::{ExecTrace, PhaseTrace, QsmFlavor, QsmMachine, RunResult};
 pub use shared::{
-    Addr, FnProgram, Memory, PhaseEnv, Program, Status, Word, PAGE_SHIFT, PAGE_WORDS,
+    Addr, FnProgram, Memory, PhaseEnv, Program, Status, Word, DEFAULT_MEM_LIMIT, PAGE_SHIFT,
+    PAGE_WORDS,
 };

@@ -21,9 +21,9 @@ use rand_chacha::ChaCha8Rng;
 use crate::cancel::CancelToken;
 use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
-use crate::exec::{ContentionTable, ExecOptions, Routing, WriteRouter};
+use crate::exec::{ContentionTable, ExecOptions, LiveSet, Routing, WriteRouter};
 use crate::faults::{FaultInjector, FaultLog, FaultPlan};
-use crate::shared::{Addr, Memory, PhaseEnv, Program, Status, Word};
+use crate::shared::{Addr, Memory, PhaseEnv, Program, Status, Word, DEFAULT_MEM_LIMIT};
 
 /// Which cost rule the machine charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +150,7 @@ impl QsmMachine {
             flavor,
             seed: 0x5eed_cafe,
             max_phases: 1 << 20,
-            mem_limit: 1 << 34,
+            mem_limit: DEFAULT_MEM_LIMIT,
             faults: None,
             cancel: None,
             opts: ExecOptions::default(),
@@ -535,10 +535,12 @@ impl QsmMachine {
         })
     }
 
-    /// The dense fast path: epoch-stamped address-indexed routing tables and
-    /// arena-pooled request buffers. Observationally identical to
-    /// [`QsmMachine::execute_reference`] — same ledger, same RNG and
-    /// fault-injector consumption order, same committed memory, same errors.
+    /// The dense fast path: a [`LiveSet`] of the running processors with
+    /// their deliveries in one flat arena, epoch-stamped address-indexed
+    /// routing tables and recycled request buffers. Observationally
+    /// identical to [`QsmMachine::execute_reference`] — same ledger, same
+    /// RNG and fault-injector consumption order, same committed memory,
+    /// same errors.
     fn execute_dense<P: Program>(
         &self,
         program: &P,
@@ -548,11 +550,7 @@ impl QsmMachine {
         let mut trace = want_trace.then(ExecTrace::default);
         let cap = self.opts.trace_phase_cap;
         let n_procs = program.num_procs();
-        if n_procs == 0 {
-            return Err(ModelError::BadConfig(
-                "program declares zero processors".into(),
-            ));
-        }
+        let mut live = LiveSet::<Word>::new(n_procs)?;
         let mut memory = Memory::with_limit(self.mem_limit);
         memory.load(0, input)?;
 
@@ -564,28 +562,26 @@ impl QsmMachine {
         });
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
-        let mut active: Vec<bool> = vec![true; n_procs];
-        let mut pending: Vec<Vec<(Addr, Word)>> = vec![Vec::new(); n_procs];
-        let mut local_phase: Vec<usize> = vec![0; n_procs];
 
         // Per-run scratch, allocated once and reused across phases.
         let mut read_table = ContentionTable::default();
         let mut writes = WriteRouter::default();
-        let mut new_reads: Vec<(usize, Addr)> = Vec::new();
-        // Arena-recycled PhaseEnv request buffers: steady-state phases
-        // allocate nothing.
+        // Every read of the phase as (pid, addr), kept only when tracing.
+        let mut traced_reads: Vec<(usize, Addr)> = Vec::new();
+        // Recycled PhaseEnv request buffers: steady-state phases allocate
+        // nothing.
         let mut read_buf: Vec<Addr> = Vec::new();
         let mut write_buf: Vec<(Addr, Word)> = Vec::new();
 
         let mut phase_no = 0usize;
-        while active.iter().any(|&a| a) {
+        while !live.is_empty() {
             if phase_no >= phase_limit {
                 return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
             }
             self.check_cancel(phase_no)?;
             read_table.begin_phase();
             writes.begin_phase();
-            new_reads.clear();
+            traced_reads.clear();
 
             let mut m_op: u64 = 0;
             let mut m_rw: u64 = 0;
@@ -601,64 +597,43 @@ impl QsmMachine {
                         finished: vec![false; n_procs],
                     });
 
-            for pid in 0..n_procs {
-                if !active[pid] {
-                    continue;
-                }
-                if let Some(inj) = injector.as_mut() {
-                    if inj.crash_at(pid, phase_no) {
-                        return Err(ModelError::FaultAborted {
-                            phase: phase_no,
-                            reason: format!("processor {pid} crashed"),
-                        });
-                    }
-                    if inj.stall_at(pid, phase_no) {
-                        continue;
-                    }
-                }
-                let delivered = std::mem::take(&mut pending[pid]);
-                let mut env = PhaseEnv::with_buffers(
-                    local_phase[pid],
-                    &delivered,
-                    std::mem::take(&mut read_buf),
-                    std::mem::take(&mut write_buf),
-                );
-                let status = program.phase(pid, &mut states[pid], &mut env);
-                local_phase[pid] += 1;
+            live.collect(
+                phase_no,
+                injector.as_mut(),
+                |pid, local_phase, delivered, fresh| {
+                    let mut env = PhaseEnv::with_buffers(
+                        local_phase,
+                        delivered,
+                        std::mem::take(&mut read_buf),
+                        std::mem::take(&mut write_buf),
+                    );
+                    let status = program.phase(pid, &mut states[pid], &mut env);
+                    let (mut r_vec, mut w_vec, ops) = env.into_requests();
+                    let r_i = r_vec.len() as u64;
+                    let w_i = w_vec.len() as u64;
+                    m_op = m_op.max(ops + r_i + w_i);
+                    m_rw = m_rw.max(r_i.max(w_i));
+                    any_access |= r_i + w_i > 0;
 
-                let (r_vec, w_vec, ops) = env.into_requests();
-                let r_i = r_vec.len() as u64;
-                let w_i = w_vec.len() as u64;
-                let c_i = ops + r_i + w_i;
-                m_op = m_op.max(c_i);
-                m_rw = m_rw.max(r_i.max(w_i));
-                any_access |= r_i + w_i > 0;
-
-                for &addr in &r_vec {
-                    read_table.incr(addr);
-                    new_reads.push((pid, addr));
-                }
-                for &(addr, value) in &w_vec {
-                    writes.push(addr, value);
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.writes[pid].push((addr, value));
+                    for &addr in &r_vec {
+                        read_table.incr(addr);
                     }
-                }
-                if status == Status::Done {
-                    active[pid] = false;
-                    if let Some(pt) = phase_trace.as_mut() {
-                        pt.finished[pid] = true;
+                    fresh.reserve(&r_vec);
+                    for &(addr, value) in &w_vec {
+                        writes.push(addr, value);
                     }
-                }
-                // Recycle every buffer touched this phase.
-                read_buf = r_vec;
-                read_buf.clear();
-                write_buf = w_vec;
-                write_buf.clear();
-                let mut d = delivered;
-                d.clear();
-                pending[pid] = d;
-            }
+                    if let Some(pt) = phase_trace.as_mut() {
+                        traced_reads.extend(r_vec.iter().map(|&addr| (pid, addr)));
+                        pt.writes[pid].extend_from_slice(&w_vec);
+                        pt.finished[pid] = status == Status::Done;
+                    }
+                    r_vec.clear();
+                    w_vec.clear();
+                    read_buf = r_vec;
+                    write_buf = w_vec;
+                    status
+                },
+            )?;
 
             // Counting-sort the writes into sorted-address groups, then
             // apply the same checks/commits as the reference path.
@@ -672,13 +647,10 @@ impl QsmMachine {
                 }
             }
 
-            for &(pid, addr) in &new_reads {
-                let v = memory.get(addr);
-                if active[pid] {
-                    pending[pid].push((addr, v));
-                }
-                if let Some(pt) = phase_trace.as_mut() {
-                    pt.reads[pid].push((addr, v));
+            live.value_fresh(|addr| memory.get(addr));
+            if let Some(pt) = phase_trace.as_mut() {
+                for &(pid, addr) in &traced_reads {
+                    pt.reads[pid].push((addr, memory.get(addr)));
                 }
             }
             for (addr, values) in writes.groups() {

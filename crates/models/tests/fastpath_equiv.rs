@@ -20,7 +20,7 @@ use parbounds_algo::lac::lac_dart;
 use parbounds_algo::or_tree::or_write_tree;
 use parbounds_algo::parity::parity_pattern_helper;
 use parbounds_algo::prefix::prefix_in_rounds;
-use parbounds_algo::reduce::tree_reduce;
+use parbounds_algo::reduce::{parity_read_tree, tree_reduce};
 use parbounds_algo::util::ReduceOp;
 use parbounds_models::{
     BspMachine, FaultPlan, FnProgram, GsmMachine, QsmMachine, Routing, Status, Word,
@@ -166,6 +166,47 @@ fn qsm_fault_plans_dense_matches_reference() {
             |o| &o.run,
         );
     }
+    // Read tree, fan-in 4 over 64 bits: pids 0..15 read at phase 0 and
+    // write at 1, pids 16..19 read at 2 and write at 3, pid 20 reads at 4.
+    // Plan 14: pid 5 holds its 4 deliveries through two stalls while its
+    // neighbours consume theirs, and the level-2 readers of phase 2 get
+    // fresh slots behind its carried slice. Plan 16: pid 0 writes its
+    // (nonzero) parity late, at phase 3, into a cell pid 16 read at phase
+    // 2; pid 16 is then carried through phases 3 and 4 and must still see
+    // the value it read, not the later write.
+    for plan in [
+        FaultPlan::new(14).with_stall(5, 1).with_stall(5, 2),
+        FaultPlan::new(16)
+            .with_stall(0, 1)
+            .with_stall(0, 2)
+            .with_stall(16, 3)
+            .with_stall(16, 4),
+    ] {
+        let tree_input = bits(64, 4);
+        qsm_equiv(
+            QsmMachine::qsm(3).with_faults(plan).with_tracing(),
+            "parity_read_tree under stalls",
+            move |m| parity_read_tree(m, &tree_input, 4),
+            |o| &o.run,
+        );
+    }
+    // Pattern helper, k = 4: checker 1 of team 0 (its bit matches, so it
+    // never writes) is carried twice, and verifier 4 holds its team cell
+    // across a stall before deciding.
+    let helper_input = bits(16, 2);
+    qsm_equiv(
+        QsmMachine::qsm(8)
+            .with_faults(
+                FaultPlan::new(15)
+                    .with_stall(1, 1)
+                    .with_stall(1, 2)
+                    .with_stall(4, 3),
+            )
+            .with_tracing(),
+        "parity_pattern_helper under stalls",
+        move |m| parity_pattern_helper(m, &helper_input, 4),
+        |o| &o.run,
+    );
 }
 
 #[test]
@@ -191,6 +232,66 @@ fn gsm_trees_dense_match_reference() {
             let r = gsm_parity(&machine.clone().with_reference_routing(), &input).unwrap();
             assert_eq!(d.value, r.value);
             assert_eq!(d.run.ledger, r.run.ledger);
+        }
+    }
+}
+
+#[test]
+fn gsm_fault_plans_dense_match_reference() {
+    // Fan-in-8 tree over 64 cells: pids 0..63 are leaves (read at phase
+    // 0, write at 1), 64..71 the level-1 nodes (read at 2, write at 3) and
+    // 72 the root (read at 4, write at 5). In plan 31, leaves 0 and 5
+    // stall between their read and their write, leaf 0 twice, so their
+    // cell contents are carried while nodes 65..71 read fresh ones; each
+    // parent stalls until its late children have written, so no
+    // information is lost. In plan 34, leaf 1 writes after node 64 read
+    // their cell, and node 64's contents are carried through two stalls:
+    // it must deliver what it read, so the root misses leaf 1's 1.
+    let input: Vec<Word> = (0..64).collect();
+    let all = input.iter().sum::<Word>();
+    for (plan, sum) in [
+        (
+            FaultPlan::new(31)
+                .with_stall(0, 1)
+                .with_stall(0, 2)
+                .with_stall(5, 1)
+                .with_stall(64, 2)
+                .with_stall(64, 3)
+                .with_stall(72, 4)
+                .with_stall(72, 5),
+            Some(all),
+        ),
+        (
+            FaultPlan::new(34)
+                .with_stall(1, 1)
+                .with_stall(1, 2)
+                .with_stall(64, 3)
+                .with_stall(64, 4)
+                .with_stall(72, 4)
+                .with_stall(72, 5),
+            Some(all - 1),
+        ),
+        (FaultPlan::new(32).with_crash(3, 1), None),
+        (FaultPlan::new(33).with_phase_budget(3), None),
+    ] {
+        let machine = GsmMachine::new(1, 8, 1).with_faults(plan).with_tracing();
+        let dense = gsm_tree_reduce(&machine, &input, 8, ReduceOp::Sum);
+        let reference =
+            gsm_tree_reduce(&machine.with_reference_routing(), &input, 8, ReduceOp::Sum);
+        match (&dense, &reference) {
+            (Ok(d), Ok(r)) => {
+                assert_eq!(Some(d.value), sum, "GSM value under stalls");
+                assert_eq!(d.value, r.value, "GSM value");
+                assert_eq!(d.run.ledger, r.run.ledger, "GSM ledger");
+                assert_eq!(d.run.memory, r.run.memory, "GSM memory");
+                assert_eq!(d.run.trace, r.run.trace, "GSM trace");
+                assert_eq!(d.run.faults, r.run.faults, "GSM fault log");
+            }
+            (Err(de), Err(re)) => {
+                assert_eq!(sum, None, "GSM run failed: {de}");
+                assert_eq!(format!("{de}"), format!("{re}"));
+            }
+            _ => panic!("divergent GSM fault outcomes (dense vs reference)"),
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Execution-hardening regression tests: every engine ships with a finite
 //! default phase limit, and a program that never terminates comes back as
 //! a typed [`ModelError::PhaseLimitExceeded`] on all four models — never a
-//! hang, never a panic.
+//! hang, never a panic. Address and processor-count limits are typed
+//! errors too.
 
 use parbounds_models::{
-    BspFnProgram, BspMachine, FaultPlan, FnProgram, GsmFnProgram, GsmMachine, ModelError,
-    QsmMachine, Status, Word,
+    BspFnProgram, BspMachine, FaultPlan, FnProgram, GsmEnv, GsmFnProgram, GsmMachine, ModelError,
+    QsmMachine, Status, Word, DEFAULT_MEM_LIMIT,
 };
 
 /// The default limit shared by all engines.
@@ -96,4 +97,63 @@ fn fault_plan_phase_budget_tightens_the_machine_limit() {
         matches!(err, ModelError::PhaseLimitExceeded { limit: 64 }),
         "{err:?}"
     );
+}
+
+/// A GSM program whose single processor writes 7 at `addr`, reads it back
+/// and copies what it saw into cell 1.
+fn gsm_far_write(addr: usize) -> impl parbounds_models::GsmProgram<Proc = ()> {
+    GsmFnProgram::new(
+        1,
+        |_pid| (),
+        move |_pid, _s: &mut (), env: &mut GsmEnv<'_>| match env.phase() {
+            0 => {
+                env.write(addr, 7);
+                Status::Active
+            }
+            1 => {
+                env.read(addr);
+                Status::Active
+            }
+            _ => {
+                let seen: Word = env.contents(addr).unwrap_or(&[]).iter().sum();
+                env.write(1, seen);
+                Status::Done
+            }
+        },
+    )
+}
+
+#[test]
+fn gsm_writes_stop_at_the_shared_address_limit() {
+    assert_eq!(DEFAULT_MEM_LIMIT, 1 << 34);
+    assert_eq!(QsmMachine::qsm(4).mem_limit(), DEFAULT_MEM_LIMIT);
+    let machine = GsmMachine::new(1, 1, 1);
+    for m in [machine.clone(), machine.with_reference_routing()] {
+        let err = m.run(&gsm_far_write(1 << 34), &[]).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::MemoryLimitExceeded {
+                addr: 1 << 34,
+                limit: 1 << 34
+            }
+        );
+        let last = (1 << 34) - 1;
+        let res = m.run(&gsm_far_write(last), &[]).unwrap();
+        assert_eq!(res.memory.get(last), &[7]);
+        assert_eq!(res.memory.get(1), &[7]);
+        let cells: Vec<(usize, Vec<Word>)> =
+            res.memory.cells().map(|(a, c)| (a, c.to_vec())).collect();
+        assert_eq!(cells, vec![(1, vec![7]), (last, vec![7])], "address order");
+    }
+}
+
+#[test]
+fn dense_engines_refuse_more_processors_than_u32_pids() {
+    let n = u32::MAX as usize + 1;
+    let qsm = FnProgram::new(n, |_pid| (), |_pid, _s: &mut (), _env| Status::Done);
+    let err = QsmMachine::qsm(1).run(&qsm, &[]).unwrap_err();
+    assert!(matches!(err, ModelError::BadConfig(_)), "{err:?}");
+    let gsm = GsmFnProgram::new(n, |_pid| (), |_pid, _s: &mut (), _env| Status::Done);
+    let err = GsmMachine::new(1, 1, 1).run(&gsm, &[]).unwrap_err();
+    assert!(matches!(err, ModelError::BadConfig(_)), "{err:?}");
 }

@@ -38,6 +38,9 @@ fi
 # fixture is the inverse witness — it must exit nonzero AND the output
 # must name the compile-ineligible rule with the blocking node.
 target/release/parbounds analyze --static --all --compiled
+# The same gate at n = 65536 puts prefix-sweep's ~2.7M-request plan through
+# every static pass and the compiler; the exit code is the only check.
+target/release/parbounds analyze --static --all --compiled --n 65536 >/dev/null
 if target/release/parbounds analyze --static --family racy-plan --compiled >/dev/null; then
     echo "ci: racy plan was NOT refused under 'analyze --static --compiled'" >&2
     exit 1

@@ -26,8 +26,6 @@
 //!    ([`crate::rules`]), applied pre-execution, plus [`Rule::DeadPhase`],
 //!    which only a static view can see.
 
-use std::collections::BTreeMap;
-
 use parbounds_algo::broadcast::broadcast_cost_max;
 use parbounds_algo::ir_families::{
     broadcast_plan, bsp_prefix_scan_plan, bsp_reduce_plan, or_write_tree_padded_plan,
@@ -36,8 +34,8 @@ use parbounds_algo::ir_families::{
 use parbounds_algo::or_tree::{or_default_fanin, or_write_tree_cost_max};
 use parbounds_algo::reduce::tree_reduce_cost;
 use parbounds_ir::{
-    compile_plan, execute_plan, CompileOutcome, ModelKind, OutputDecl, PhasePlan, PlanBody,
-    ValueRule,
+    compile_plan, execute_plan, CompileOutcome, ModelKind, OutputDecl, PhaseCensus, PhasePlan,
+    PlanBody, ValueRule,
 };
 use parbounds_models::{
     Addr, BspMachine, CancelToken, CostLedger, GsmMachine, ModelError, PhaseCost, QsmMachine,
@@ -63,73 +61,11 @@ pub fn predict_ledger_with(plan: &PhasePlan, cancel: &CancelToken) -> Result<Cos
     let mut ledger = CostLedger::new();
     match &plan.body {
         PlanBody::Shared(phases) => {
+            let mut census = PhaseCensus::default();
             for (t, phase) in phases.iter().enumerate() {
                 cancel.check(t)?;
-                let mut m_op = 0u64;
-                let mut m_rw = 0u64;
-                let mut any_access = false;
-                let mut reads: BTreeMap<Addr, u64> = BTreeMap::new();
-                let mut writes: BTreeMap<Addr, u64> = BTreeMap::new();
-                for e in &phase.procs {
-                    let r = e.reads.len() as u64;
-                    let w = e.writes.len() as u64;
-                    m_op = m_op.max(e.local_ops + r + w);
-                    m_rw = m_rw.max(r.max(w));
-                    any_access |= r + w > 0;
-                    for &a in &e.reads {
-                        *reads.entry(a).or_insert(0) += 1;
-                    }
-                    for ws in &e.writes {
-                        *writes.entry(ws.addr).or_insert(0) += 1;
-                    }
-                }
-                let write_contention = writes.values().copied().max().unwrap_or(1);
-                match plan.model {
-                    ModelKind::Qsm { g } | ModelKind::SQsm { g } | ModelKind::QsmUnitCr { g } => {
-                        let read_contention = reads.values().copied().max().unwrap_or(1);
-                        let kappa = match plan.model {
-                            // Unit-cost concurrent reads: only write
-                            // contention queues.
-                            ModelKind::QsmUnitCr { .. } => write_contention,
-                            _ if any_access => read_contention.max(write_contention),
-                            _ => 1,
-                        };
-                        let machine = match plan.model {
-                            ModelKind::SQsm { .. } => QsmMachine::sqsm(g),
-                            ModelKind::QsmUnitCr { .. } => QsmMachine::qsm_unit_cr(g),
-                            _ => QsmMachine::qsm(g),
-                        };
-                        let cost = machine.phase_cost(m_op, m_rw, kappa);
-                        ledger.push(PhaseCost {
-                            m_op,
-                            m_rw: m_rw.max(1),
-                            kappa,
-                            cost,
-                        });
-                    }
-                    ModelKind::Gsm { alpha, beta, gamma } => {
-                        // Strong queuing charges reads and writes alike.
-                        let kappa = if any_access {
-                            reads
-                                .values()
-                                .chain(writes.values())
-                                .copied()
-                                .max()
-                                .unwrap_or(1)
-                        } else {
-                            1
-                        };
-                        let machine = GsmMachine::new(alpha, beta, gamma);
-                        let cost = machine.phase_cost(m_rw.max(1), kappa);
-                        ledger.push(PhaseCost {
-                            m_op: 0,
-                            m_rw: m_rw.max(1),
-                            kappa,
-                            cost,
-                        });
-                    }
-                    ModelKind::Bsp { .. } => unreachable!("validate ties the BSP to Msg bodies"),
-                }
+                census.count(phase);
+                ledger.push(shared_row(plan.model, &census));
             }
         }
         PlanBody::Msg { steps, .. } => {
@@ -178,6 +114,41 @@ pub fn predict_ledger_with(plan: &PhasePlan, cancel: &CancelToken) -> Result<Cos
         }
     }
     Ok(ledger)
+}
+
+/// The ledger row the model's Section 2 cost rule gives one counted
+/// shared-memory phase.
+fn shared_row(model: ModelKind, census: &PhaseCensus) -> PhaseCost {
+    let (m_op, m_rw) = (census.m_op(), census.m_rw().max(1));
+    match model {
+        ModelKind::Qsm { g } | ModelKind::SQsm { g } | ModelKind::QsmUnitCr { g } => {
+            let (machine, kappa) = match model {
+                ModelKind::SQsm { .. } => (QsmMachine::sqsm(g), census.kappa(false)),
+                // Unit-cost concurrent reads: only write contention queues.
+                ModelKind::QsmUnitCr { .. } => (QsmMachine::qsm_unit_cr(g), census.kappa(true)),
+                _ => (QsmMachine::qsm(g), census.kappa(false)),
+            };
+            let cost = machine.phase_cost(m_op, m_rw, kappa);
+            PhaseCost {
+                m_op,
+                m_rw,
+                kappa,
+                cost,
+            }
+        }
+        ModelKind::Gsm { alpha, beta, gamma } => {
+            // Strong queuing charges reads and writes alike.
+            let kappa = census.kappa(false);
+            let cost = GsmMachine::new(alpha, beta, gamma).phase_cost(m_rw, kappa);
+            PhaseCost {
+                m_op: 0,
+                m_rw,
+                kappa,
+                cost,
+            }
+        }
+        ModelKind::Bsp { .. } => unreachable!("validate ties the BSP to Msg bodies"),
+    }
 }
 
 /// A `(phase, cell, writers)` triple the certifier could not prove safe.
@@ -234,14 +205,10 @@ pub fn certify_writes(plan: &PhasePlan) -> Result<WriteCertificate> {
     };
     let mut witnesses = Vec::new();
     let mut common = 0usize;
+    let mut census = PhaseCensus::default();
     for (t, phase) in shared.iter().enumerate() {
-        let mut writers: BTreeMap<Addr, Vec<(usize, ValueRule)>> = BTreeMap::new();
-        for e in &phase.procs {
-            for w in &e.writes {
-                writers.entry(w.addr).or_default().push((e.pid, w.value));
-            }
-        }
-        for (addr, list) in writers {
+        census.count(phase);
+        for (addr, list) in census.write_groups() {
             if list.len() < 2 {
                 continue;
             }
@@ -276,19 +243,32 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
     plan.validate()?;
     let model = plan.model.name();
     let mut diags = Vec::new();
+    // The shared branch counts every phase anyway, so it builds the ledger
+    // the symbolic check compares against from its own census.
+    let mut ledger = None;
     match &plan.body {
         PlanBody::Shared(phases) => {
-            let mut writes_at: BTreeMap<Addr, Vec<usize>> = BTreeMap::new();
-            let mut reads_at: BTreeMap<Addr, Vec<usize>> = BTreeMap::new();
+            let OutputDecl::Region { base, len } = plan.output else {
+                unreachable!("validate() ties shared plans to Region outputs");
+            };
+            let finish = plan.finish_phases()?;
+            let gsm_input_cells = match plan.model {
+                ModelKind::Gsm { .. } => plan.input_cells,
+                _ => 0,
+            };
+            let mut census = PhaseCensus::default();
+            let mut predicted = CostLedger::new();
+            // `(cell, written, phase)` for each cell outside the output
+            // region a phase reads or writes, compacted to the latest phase
+            // per `(cell, written)` whenever the entries double: they stay
+            // proportional to the cells, not to the (cell, phase) pairs.
+            let mut latest: Vec<(Addr, bool, usize)> = Vec::new();
+            let mut compacted = 0;
             for (t, phase) in phases.iter().enumerate() {
-                let mut reads: BTreeMap<Addr, u64> = BTreeMap::new();
-                let mut writes: BTreeMap<Addr, u64> = BTreeMap::new();
-                let mut dead = true;
+                census.count(phase);
+                predicted.push(shared_row(plan.model, &census));
                 for e in &phase.procs {
-                    if !e.reads.is_empty() || !e.writes.is_empty() || e.local_ops > 0 {
-                        dead = false;
-                    }
-                    if !e.reads.is_empty() && phase.finish.contains(&e.pid) {
+                    if !e.reads.is_empty() && finish[e.pid] == t {
                         diags.push(Diagnostic::new(
                             Rule::DeadRead,
                             Location {
@@ -300,30 +280,21 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
                             rules::dead_read(e.reads.len()),
                         ));
                     }
-                    for &a in &e.reads {
-                        *reads.entry(a).or_insert(0) += 1;
-                        reads_at.entry(a).or_default().push(t);
-                    }
-                    for w in &e.writes {
-                        *writes.entry(w.addr).or_insert(0) += 1;
-                        writes_at.entry(w.addr).or_default().push(t);
-                        if matches!(plan.model, ModelKind::Gsm { .. })
-                            && plan.input_cells > 0
-                            && w.addr < plan.input_cells
-                        {
-                            diags.push(Diagnostic::new(
-                                Rule::GsmGammaViolation,
-                                Location {
-                                    model,
-                                    phase: t,
-                                    pid: Some(e.pid),
-                                    addr: Some(w.addr),
-                                },
-                                rules::gsm_gamma_violation(w.addr, plan.input_cells),
-                            ));
-                        }
+                    for w in e.writes.iter().filter(|w| w.addr < gsm_input_cells) {
+                        diags.push(Diagnostic::new(
+                            Rule::GsmGammaViolation,
+                            Location {
+                                model,
+                                phase: t,
+                                pid: Some(e.pid),
+                                addr: Some(w.addr),
+                            },
+                            rules::gsm_gamma_violation(w.addr, plan.input_cells),
+                        ));
                     }
                 }
+                // No request and no local work from any entry.
+                let dead = !census.any_access() && census.m_op() == 0;
                 if dead && phase.finish.is_empty() {
                     diags.push(Diagnostic::new(
                         Rule::DeadPhase,
@@ -336,22 +307,21 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
                         rules::dead_phase(&phase.label),
                     ));
                 }
-                for (&addr, &r) in &reads {
-                    if let Some(&w) = writes.get(&addr) {
-                        diags.push(Diagnostic::new(
-                            Rule::SamePhaseReadWrite,
-                            Location {
-                                model,
-                                phase: t,
-                                pid: None,
-                                addr: Some(addr),
-                            },
-                            rules::same_phase_read_write(r, w),
-                        ));
-                    }
+                for (addr, r, w) in census.read_write_overlap() {
+                    diags.push(Diagnostic::new(
+                        Rule::SamePhaseReadWrite,
+                        Location {
+                            model,
+                            phase: t,
+                            pid: None,
+                            addr: Some(addr),
+                        },
+                        rules::same_phase_read_write(r, w),
+                    ));
                 }
                 if let Some(bound) = plan.contention_bound {
-                    for (&addr, &k) in reads.iter().chain(writes.iter()) {
+                    let write_queues = census.write_groups().map(|(a, g)| (a, g.len() as u64));
+                    for (addr, k) in census.reads().iter().copied().chain(write_queues) {
                         if k <= bound {
                             continue;
                         }
@@ -379,30 +349,39 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
                         }
                     }
                 }
-            }
-            if let OutputDecl::Region { base, len } = plan.output {
-                for (&addr, wts) in &writes_at {
-                    if addr >= base && addr < base + len {
-                        continue;
-                    }
-                    let last_write = *wts.iter().max().expect("non-empty by construction");
-                    let consumed = reads_at
-                        .get(&addr)
-                        .is_some_and(|rs| rs.iter().any(|&r| r > last_write));
-                    if !consumed {
-                        diags.push(Diagnostic::new(
-                            Rule::UnconsumedWrite,
-                            Location {
-                                model,
-                                phase: last_write,
-                                pid: None,
-                                addr: Some(addr),
-                            },
-                            rules::unconsumed_write(),
-                        ));
-                    }
+                let outside = |&a: &Addr| !(a >= base && a < base + len);
+                let reads = census.reads().iter().map(|&(a, _)| a).filter(outside);
+                latest.extend(reads.map(|a| (a, false, t)));
+                let writes = census.write_cells().iter().copied().filter(outside);
+                latest.extend(writes.map(|a| (a, true, t)));
+                if latest.len() > 2 * compacted {
+                    keep_latest(&mut latest);
+                    compacted = latest.len();
                 }
             }
+            keep_latest(&mut latest);
+            // Per cell: its latest read, if any, then its latest write.
+            for run in latest.chunk_by(|x, y| x.0 == y.0) {
+                let (last_read, last_write) = match *run {
+                    [(_, false, r), (_, true, w)] => (Some(r), w),
+                    [(_, true, w)] => (None, w),
+                    _ => continue,
+                };
+                if last_read.is_some_and(|r| r > last_write) {
+                    continue;
+                }
+                diags.push(Diagnostic::new(
+                    Rule::UnconsumedWrite,
+                    Location {
+                        model,
+                        phase: last_write,
+                        pid: None,
+                        addr: Some(run[0].0),
+                    },
+                    rules::unconsumed_write(),
+                ));
+            }
+            ledger = Some(predicted);
         }
         PlanBody::Msg { steps, .. } => {
             let ModelKind::Bsp { p, .. } = plan.model else {
@@ -478,8 +457,24 @@ pub fn lint_plan(plan: &PhasePlan) -> Result<Vec<Diagnostic>> {
             }
         }
     }
-    diags.extend(crate::symbolic::lint_plan_symbolic(plan)?);
+    diags.extend(crate::symbolic::lint_plan_symbolic_against(plan, || {
+        ledger.map_or_else(|| predict_ledger(plan), Ok)
+    })?);
     Ok(diags)
+}
+
+/// Sorts `(cell, written, phase)` entries pushed in phase order and keeps
+/// the latest phase of each `(cell, written)`.
+fn keep_latest(entries: &mut Vec<(Addr, bool, usize)>) {
+    // Stable, so each key's entries stay in phase order and the kept one
+    // takes the last phase.
+    entries.sort_by_key(|&(a, written, _)| (a, written));
+    entries.dedup_by(|next, kept| {
+        (next.0, next.1) == (kept.0, kept.1) && {
+            kept.2 = next.2;
+            true
+        }
+    });
 }
 
 /// Statics handoff to the plan compiler: decides whether `plan` can take

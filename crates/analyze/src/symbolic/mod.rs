@@ -34,7 +34,7 @@ pub use ledgers::{
 pub use theta::{theta, Atom, Monomial, Theta};
 
 use parbounds_ir::{shape_for_combinator, ModelKind, PhasePlan, ShapePoint};
-use parbounds_models::ModelError;
+use parbounds_models::{CostLedger, ModelError};
 
 use crate::diagnostics::{Diagnostic, Location, Rule};
 use crate::rules;
@@ -130,6 +130,16 @@ pub struct PlanSymbolicCheck {
 /// means the plan is outside symbolic coverage (not an error: most
 /// ad-hoc plans are).
 pub fn check_plan(plan: &PhasePlan) -> Result<Option<PlanSymbolicCheck>, ModelError> {
+    check_plan_against(plan, || predict_ledger(plan))
+}
+
+/// [`check_plan`] against a numeric ledger from `numeric`, called only
+/// when the plan is recognized: the linter passes the ledger it already
+/// counted.
+fn check_plan_against(
+    plan: &PhasePlan,
+    numeric: impl FnOnce() -> Result<CostLedger, ModelError>,
+) -> Result<Option<PlanSymbolicCheck>, ModelError> {
     let Some((family, point)) = recognize_plan(plan) else {
         return Ok(None);
     };
@@ -137,7 +147,7 @@ pub fn check_plan(plan: &PhasePlan) -> Result<Option<PlanSymbolicCheck>, ModelEr
     let symbolic = ledger
         .eval_ledger(point)
         .map_err(|e| ModelError::BadConfig(format!("symbolic eval of {family}: {e}")))?;
-    let numeric = predict_ledger(plan)?;
+    let numeric = numeric()?;
     let conf = check_family(family)?;
     Ok(Some(PlanSymbolicCheck {
         family,
@@ -156,7 +166,16 @@ pub fn check_plan(plan: &PhasePlan) -> Result<Option<PlanSymbolicCheck>, ModelEr
 /// strictly dominates its Table 1 row (both normal forms are quoted in
 /// the message).
 pub fn lint_plan_symbolic(plan: &PhasePlan) -> Result<Vec<Diagnostic>, ModelError> {
-    let Some(check) = check_plan(plan)? else {
+    lint_plan_symbolic_against(plan, || predict_ledger(plan))
+}
+
+/// [`lint_plan_symbolic`] against a numeric ledger from `numeric` (see
+/// [`check_plan_against`]).
+pub(crate) fn lint_plan_symbolic_against(
+    plan: &PhasePlan,
+    numeric: impl FnOnce() -> Result<CostLedger, ModelError>,
+) -> Result<Vec<Diagnostic>, ModelError> {
+    let Some(check) = check_plan_against(plan, numeric)? else {
         return Ok(Vec::new());
     };
     let model = plan.model.name();

@@ -33,13 +33,13 @@
 //! [`crate::interp::execute_plan`] in every configuration; the
 //! differential suite in `tests/compiled_equiv.rs` enforces this.
 
-use std::collections::BTreeMap;
-
+use crate::census::PhaseCensus;
 use crate::interp::{
     execute_plan_cancellable, run_msg_batch, run_shared_batch, shared_machine, PlanRun,
 };
 use crate::plan::{
-    apply_update, Guard, InitRule, ModelKind, OutputDecl, PhasePlan, PlanBody, Update, ValueRule,
+    apply_update, Guard, InitRule, ModelKind, OutputDecl, PhasePlan, PlanBody, SharedPhase, Update,
+    ValueRule,
 };
 use parbounds_models::{
     Addr, BspMachine, CancelToken, Memory, ModelError, PhaseCost, QsmFlavor, QsmMachine, Result,
@@ -275,38 +275,13 @@ pub fn compile_plan(plan: &PhasePlan) -> Result<CompileOutcome> {
     }
 }
 
-/// Read multiplicity per address under the saturating schedule.
-type ReadMap = BTreeMap<Addr, u64>;
-/// Saturating writers per address: `(pid, value rule)` in arrival order.
-type WriteMap = BTreeMap<Addr, Vec<(usize, ValueRule)>>;
-
-/// Per-phase saturating request maps: read multiplicities and write
-/// groups, both in address order.
-fn phase_maps(phase: &crate::plan::SharedPhase) -> (ReadMap, WriteMap) {
-    let mut reads: BTreeMap<Addr, u64> = BTreeMap::new();
-    let mut writes: BTreeMap<Addr, Vec<(usize, ValueRule)>> = BTreeMap::new();
-    for entry in &phase.procs {
-        for &addr in &entry.reads {
-            *reads.entry(addr).or_insert(0) += 1;
-        }
-        for w in &entry.writes {
-            writes.entry(w.addr).or_default().push((entry.pid, w.value));
-        }
-    }
-    (reads, writes)
-}
-
-/// Shared-memory eligibility for one phase: no read/write overlap, and
-/// every multi-writer cell a certified common write. Returns the first
-/// offending node.
-fn check_shared_phase(
-    t: usize,
-    label: &str,
-    reads: &ReadMap,
-    writes: &WriteMap,
-) -> Option<Ineligibility> {
-    for (&addr, group) in writes {
-        if reads.contains_key(&addr) {
+/// Shared-memory eligibility for one counted phase: no read/write overlap,
+/// and every multi-writer cell a certified common write. Returns the first
+/// offending node in address order.
+fn check_shared_phase(t: usize, label: &str, census: &PhaseCensus) -> Option<Ineligibility> {
+    let first_overlap = census.read_write_overlap().next().map(|(addr, ..)| addr);
+    for (addr, group) in census.write_groups() {
+        if first_overlap == Some(addr) {
             return Some(Ineligibility {
                 phase: Some(t),
                 pid: None,
@@ -377,41 +352,38 @@ fn compile_shared(plan: &PhasePlan) -> Result<CompileOutcome> {
     };
     let finish = plan.finish_phases()?;
 
-    // Pass 1: eligibility and memory extent.
+    // One pass per phase: census, eligibility, memory extent, lowering.
+    let mut census = PhaseCensus::default();
     let mut max_addr: Option<Addr> = None;
     let mut max_write_addr: Option<Addr> = None;
+    let mut compiled = Vec::with_capacity(phases.len());
     for (t, phase) in phases.iter().enumerate() {
-        let (reads, writes) = phase_maps(phase);
-        if let Some(ineligible) = check_shared_phase(t, &phase.label, &reads, &writes) {
+        census.count(phase);
+        if let Some(ineligible) = check_shared_phase(t, &phase.label, &census) {
             return Ok(CompileOutcome::Ineligible(ineligible));
         }
-        if let Some((&a, _)) = reads.last_key_value() {
+        if let Some(&(a, _)) = census.reads().last() {
             max_addr = Some(max_addr.map_or(a, |m| m.max(a)));
         }
-        if let Some((&a, _)) = writes.last_key_value() {
+        if let Some(&a) = census.write_cells().last() {
             max_addr = Some(max_addr.map_or(a, |m| m.max(a)));
             max_write_addr = Some(max_write_addr.map_or(a, |m| m.max(a)));
         }
-    }
-    let planned_cells = max_addr.map(|a| a + 1).unwrap_or(0).max(base + len).max(1);
-
-    // Pass 2: lower each phase.
-    let mut compiled = Vec::with_capacity(phases.len());
-    for (t, phase) in phases.iter().enumerate() {
-        let (reads, writes) = phase_maps(phase);
         let mut order: Vec<usize> = (0..phase.procs.len()).collect();
         order.sort_unstable_by_key(|&i| phase.procs[i].pid);
         let is_static = phase.procs.iter().all(|e| matches!(e.guard, Guard::Always));
-        if is_static {
-            compiled.push(CompiledPhase::Static(lower_static_phase(
-                phase, &order, &reads, &writes, &finish, t,
-            )));
+        compiled.push(if is_static {
+            CompiledPhase::Static(lower_static_phase(phase, &order, &census, &finish, t))
         } else {
-            compiled.push(CompiledPhase::Guarded(lower_guarded_phase(
-                phase, &order, &reads, &writes, &finish, t,
-            )));
-        }
+            CompiledPhase::Guarded(lower_guarded_phase(phase, &order, &census, &finish, t))
+        });
     }
+    // Saturating: a cell at `usize::MAX` must size a paged arena, not wrap
+    // to an empty flat one.
+    let planned_cells = max_addr
+        .map_or(0, |a| a.saturating_add(1))
+        .max(base + len)
+        .max(1);
 
     Ok(CompileOutcome::Compiled(CompiledPlan {
         kind: CompiledKind::Shared(CompiledShared {
@@ -426,30 +398,21 @@ fn compile_shared(plan: &PhasePlan) -> Result<CompileOutcome> {
 }
 
 fn lower_static_phase(
-    phase: &crate::plan::SharedPhase,
+    phase: &SharedPhase,
     order: &[usize],
-    reads: &BTreeMap<Addr, u64>,
-    writes: &BTreeMap<Addr, Vec<(usize, ValueRule)>>,
+    census: &PhaseCensus,
     finish: &[usize],
     t: usize,
 ) -> StaticPhase {
-    let mut m_op: u64 = 0;
-    let mut m_rw: u64 = 0;
-    let mut any_access = false;
     let mut updates = Vec::new();
     let mut gathers = Vec::new();
     for &i in order {
         let entry = &phase.procs[i];
-        let r_i = entry.reads.len() as u64;
-        let w_i = entry.writes.len() as u64;
-        m_op = m_op.max(entry.local_ops + r_i + w_i);
-        m_rw = m_rw.max(r_i.max(w_i));
-        any_access |= r_i + w_i > 0;
         if !matches!(entry.update, Update::Keep) {
             updates.push((entry.pid, entry.update));
         }
         // Reads whose receiver retires this phase cost contention (already
-        // counted below) but deliver nothing: compiled out.
+        // in the census) but deliver nothing: compiled out.
         if finish[entry.pid] > t {
             for &addr in &entry.reads {
                 gathers.push(GatherSlot {
@@ -459,65 +422,46 @@ fn lower_static_phase(
             }
         }
     }
-    let read_contention = reads.values().copied().max().unwrap_or(0);
-    let write_contention = writes.values().map(|g| g.len() as u64).max().unwrap_or(0);
-    let kappa_std = if any_access {
-        read_contention.max(write_contention)
-    } else {
-        1
-    };
-    let mut stores = Vec::with_capacity(writes.len());
-    for (&addr, group) in writes {
-        let src = if group.len() > 1 {
-            // Eligibility proved all writers share one constant.
-            let ValueRule::Const(v) = group[0].1 else {
-                unreachable!("eligibility pinned multi-writer cells to constants");
-            };
-            StoreSrc::Const(v)
-        } else {
-            let (pid, rule) = group[0];
-            if rule.is_const() {
-                StoreSrc::Const(rule.eval(&[]))
+    let stores = census
+        .write_groups()
+        .map(|(addr, group)| {
+            let src = if group.len() > 1 {
+                // Eligibility proved all writers share one constant.
+                let ValueRule::Const(v) = group[0].1 else {
+                    unreachable!("eligibility pinned multi-writer cells to constants");
+                };
+                StoreSrc::Const(v)
             } else {
-                StoreSrc::Proc(pid, rule)
-            }
-        };
-        stores.push(StoreSlot { addr, src });
-    }
+                let (pid, rule) = group[0];
+                if rule.is_const() {
+                    StoreSrc::Const(rule.eval(&[]))
+                } else {
+                    StoreSrc::Proc(pid, rule)
+                }
+            };
+            StoreSlot { addr, src }
+        })
+        .collect();
     StaticPhase {
         updates,
         gathers,
         stores,
         cost: StaticCost {
-            m_op,
-            m_rw,
-            kappa_std,
-            // The routing engines floor contention at 1 (an empty write
-            // router still reports contention 1), so the unit-CR flavor
-            // sees max(write contention, 1).
-            kappa_unit: write_contention.max(1),
+            m_op: census.m_op(),
+            m_rw: census.m_rw(),
+            kappa_std: census.kappa(false),
+            kappa_unit: census.kappa(true),
         },
     }
 }
 
 fn lower_guarded_phase(
-    phase: &crate::plan::SharedPhase,
+    phase: &SharedPhase,
     order: &[usize],
-    reads: &BTreeMap<Addr, u64>,
-    writes: &BTreeMap<Addr, Vec<(usize, ValueRule)>>,
+    census: &PhaseCensus,
     finish: &[usize],
     t: usize,
 ) -> GuardedPhase {
-    let read_slot_of: BTreeMap<Addr, usize> = reads
-        .keys()
-        .enumerate()
-        .map(|(slot, &addr)| (addr, slot))
-        .collect();
-    let write_slot_of: BTreeMap<Addr, usize> = writes
-        .keys()
-        .enumerate()
-        .map(|(slot, &addr)| (addr, slot))
-        .collect();
     let entries = order
         .iter()
         .map(|&i| {
@@ -531,7 +475,9 @@ fn lower_guarded_phase(
                     .reads
                     .iter()
                     .map(|&addr| GuardedRead {
-                        slot: read_slot_of[&addr],
+                        slot: census
+                            .read_slot(addr)
+                            .expect("the census counts every read"),
                         addr,
                         deliver: finish[entry.pid] > t,
                     })
@@ -539,15 +485,18 @@ fn lower_guarded_phase(
                 writes: entry
                     .writes
                     .iter()
-                    .map(|w| (write_slot_of[&w.addr], w.value))
+                    .map(|w| {
+                        let slot = census.write_slot(w.addr);
+                        (slot.expect("the census counts every write"), w.value)
+                    })
                     .collect(),
             }
         })
         .collect();
     GuardedPhase {
         entries,
-        read_slots: read_slot_of.len(),
-        write_slots: writes.keys().copied().collect(),
+        read_slots: census.reads().len(),
+        write_slots: census.write_cells().to_vec(),
     }
 }
 

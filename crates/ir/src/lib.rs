@@ -19,6 +19,9 @@
 //!   the QSM/s-QSM simulators or the BSP machine, so the same definition
 //!   both *runs* and is *analyzed statically* (see `parbounds-analyze`),
 //!   and the two ledgers can be compared cell for cell;
+//! * [`census`] — [`census::PhaseCensus`], the sorted request census of
+//!   one shared phase (`m_op`, `m_rw`, per-cell read and write queues)
+//!   that every static pass and the compiler count a phase with;
 //! * [`compile`] — a one-shot compiler lowering an eligible plan into a
 //!   straight-line [`compile::CompiledPlan`] schedule (pre-resolved dense
 //!   request tables, contention counts and ledger rows baked in) with a
@@ -28,12 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod census;
 pub mod combinators;
 pub mod compile;
 pub mod interp;
 pub mod plan;
 pub mod shape;
 
+pub use census::PhaseCensus;
 pub use combinators::{
     broadcast, bsp_fan_in_reduce, bsp_prefix_scan, dart_round, fan_in_read_tree, fan_in_write_tree,
     prefix_sweep, scatter_gather,

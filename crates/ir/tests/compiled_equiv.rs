@@ -325,3 +325,39 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// A read of one far cell, delivered into the next phase and published to
+/// cell 0: the compiled arena must cover the cell without wrapping its
+/// extent (`usize::MAX + 1`) to an empty flat arena. The interpreter's own
+/// far-address growth is out of scope here, so the check is against the
+/// reference grounding.
+#[test]
+fn compiled_far_reads_match_reference() {
+    use parbounds_ir::{OutputDecl, PlanBody, ProcPhase, SharedPhase, Update, ValueRule};
+    for far in [PAGED_ARENA_MIN_CELLS, 1 << 40, usize::MAX] {
+        let mut read = SharedPhase::new("read far");
+        read.procs.push(ProcPhase::idle(0).read(far));
+        let mut publish = SharedPhase::new("publish");
+        publish.procs.push(
+            ProcPhase::idle(0)
+                .update(Update::Load)
+                .write(0, ValueRule::Reg(0)),
+        );
+        publish.finish = vec![0];
+        let plan = PhasePlan {
+            family: "far-read".into(),
+            model: ModelKind::Qsm { g: 2 },
+            procs: 1,
+            input_cells: 1,
+            contention_bound: None,
+            output: OutputDecl::Region { base: 0, len: 1 },
+            body: PlanBody::Shared(vec![read, publish]),
+        };
+        let cp = compiled(&plan);
+        assert!(cp.arena_cells() > PAGED_ARENA_MIN_CELLS, "far = {far}");
+        let want = execute_plan_reference(&plan, &[5]).unwrap();
+        let got = run_compiled_batch(&plan, &cp, &QsmMachine::qsm(2), &[5]).unwrap();
+        assert_eq!(got, want, "far = {far}");
+        assert_eq!(got.output, vec![0]);
+    }
+}

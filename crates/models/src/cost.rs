@@ -77,6 +77,16 @@ impl CostLedger {
         Self::default()
     }
 
+    /// Creates an empty retaining ledger with room for `phases` phases, so
+    /// a ledger of known length (e.g. one decoded from the wire) holds no
+    /// spare capacity.
+    pub fn with_capacity(phases: usize) -> Self {
+        CostLedger {
+            phases: Vec::with_capacity(phases),
+            ..Self::default()
+        }
+    }
+
     /// Creates an empty *streaming* ledger: phases fold into the running
     /// aggregates only, [`CostLedger::phases`] stays empty, and the
     /// ledger's memory is O(1) in the number of phases. All aggregate
@@ -306,6 +316,23 @@ mod tests {
         assert_eq!(empty.max_contention(), 1);
         assert_eq!(empty.max_rw(), 1);
         assert_eq!(empty.max_phase_cost(), 0);
+    }
+
+    #[test]
+    fn presized_ledger_equals_a_grown_one() {
+        let costs = [(1, 1, 1, 4), (2, 3, 7, 12), (0, 1, 5, 5)];
+        let mut presized = CostLedger::with_capacity(costs.len());
+        assert_eq!(presized, CostLedger::new());
+        for &(m_op, m_rw, kappa, cost) in &costs {
+            presized.push(PhaseCost {
+                m_op,
+                m_rw,
+                kappa,
+                cost,
+            });
+        }
+        assert!(!presized.is_streaming());
+        assert_eq!(presized, ledger(&costs));
     }
 
     #[test]

@@ -425,12 +425,13 @@ fn ledger_to_json(ledger: &CostLedger) -> Json {
 }
 
 fn ledger_from_json(v: &Json) -> Result<CostLedger, String> {
-    let mut ledger = CostLedger::new();
-    for p in v
+    let phases = v
         .get("phases")
         .and_then(Json::as_arr)
-        .ok_or("ledger missing 'phases'")?
-    {
+        .ok_or("ledger missing 'phases'")?;
+    // Exact length: a client may keep every decoded ledger.
+    let mut ledger = CostLedger::with_capacity(phases.len());
+    for p in phases {
         ledger.push(PhaseCost {
             m_op: p.get("m_op").and_then(Json::as_u64).ok_or("bad m_op")?,
             m_rw: p.get("m_rw").and_then(Json::as_u64).ok_or("bad m_rw")?,

@@ -147,7 +147,7 @@ fn shard_scaling(shards: usize, ns: &[usize]) -> Vec<ShardRow> {
     let t0 = Instant::now();
     let single: Vec<TableRow> = points
         .iter()
-        .map(|pt| sweep_point_row(Model::Qsm, Problem::Or, pt, SEED, false).expect("sweep row"))
+        .map(|pt| sweep_point_row(Model::Qsm, Problem::Or, pt, SEED).expect("sweep row"))
         .collect();
     let single_ns = t0.elapsed().as_nanos();
     let t0 = Instant::now();

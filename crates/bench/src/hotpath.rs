@@ -2,8 +2,8 @@
 //! routing, arena reuse, IR batch interpretation) against the reference
 //! engines they replaced.
 //!
-//! Every point runs the *same* workload twice — once on the default
-//! [`Routing::Dense`] configuration, once on [`Routing::Reference`] (the
+//! Every point runs the *same* workload twice — once on the default dense
+//! engines, once on the reference engines (`with_reference_routing()`, the
 //! pre-fast-path map-based engines) — records best-of-`reps` wall-clock
 //! for both, and checks the two runs' measured model costs are identical.
 //! A speedup claim over a run that computed something else would be
@@ -39,7 +39,7 @@ use parbounds::ir::{
 };
 use parbounds::models::{
     BspFnProgram, BspMachine, FnProgram, GsmEnv, GsmFnProgram, GsmMachine, PhaseEnv, Program,
-    QsmMachine, Routing, Status, Superstep, Word,
+    QsmMachine, Status, Superstep, Word,
 };
 use parbounds::tables::Problem;
 use parbounds::{bsp_time_row_on_input, qsm_time_row_on_input, row_input, sqsm_time_row_on_input};
@@ -391,7 +391,7 @@ fn run_gsm_scatter(n: usize, reps: u32) -> HotPoint {
     let prog = gsm_scatter_program(n);
     let input: Vec<Word> = (0..n as Word).collect();
     let machine = GsmMachine::new(1, 2, 1);
-    let dense = machine.clone().with_routing(Routing::Dense);
+    let dense = machine.clone();
     let reference = machine.with_reference_routing();
     let ((ds, dr), (rs, rr)) = best_of_pair(
         reps,
@@ -445,10 +445,7 @@ fn bsp_p(n: usize) -> usize {
 fn run_scatter(machine: QsmMachine, engine: &'static str, n: usize, reps: u32) -> HotPoint {
     let prog = scatter_program(n);
     let input: Vec<Word> = (0..n as Word).collect();
-    let dense = machine
-        .clone()
-        .with_routing(Routing::Dense)
-        .with_mem_limit(2 * n + 16);
+    let dense = machine.clone().with_mem_limit(2 * n + 16);
     let reference = machine.with_reference_routing().with_mem_limit(2 * n + 16);
     let ((ds, dr), (rs, rr)) = best_of_pair(
         reps,
@@ -472,7 +469,7 @@ fn run_scatter(machine: QsmMachine, engine: &'static str, n: usize, reps: u32) -
 fn run_spec(spec: Spec, reps: u32) -> HotPoint {
     match spec {
         Spec::Qsm(problem, n, g) => {
-            let dense = QsmMachine::qsm(g).with_routing(Routing::Dense);
+            let dense = QsmMachine::qsm(g);
             let reference = QsmMachine::qsm(g).with_reference_routing();
             let input = row_input(problem, n, SEED);
             let ((ds, dr), (rs, rr)) = best_of_pair(
@@ -494,7 +491,7 @@ fn run_spec(spec: Spec, reps: u32) -> HotPoint {
             }
         }
         Spec::Sqsm(problem, n, g) => {
-            let dense = QsmMachine::sqsm(g).with_routing(Routing::Dense);
+            let dense = QsmMachine::sqsm(g);
             let reference = QsmMachine::sqsm(g).with_reference_routing();
             let input = row_input(problem, n, SEED);
             let ((ds, dr), (rs, rr)) = best_of_pair(
@@ -516,12 +513,8 @@ fn run_spec(spec: Spec, reps: u32) -> HotPoint {
             }
         }
         Spec::Bsp(problem, n, g, l, p) => {
-            let dense = BspMachine::new(p, g, l)
-                .expect("valid BSP config")
-                .with_routing(Routing::Dense);
-            let reference = BspMachine::new(p, g, l)
-                .expect("valid BSP config")
-                .with_reference_routing();
+            let dense = BspMachine::new(p, g, l).expect("valid BSP config");
+            let reference = dense.clone().with_reference_routing();
             let input = row_input(problem, n, SEED);
             let ((ds, dr), (rs, rr)) = best_of_pair(
                 reps,
@@ -548,12 +541,8 @@ fn run_spec(spec: Spec, reps: u32) -> HotPoint {
             let p = bsp_p(n);
             let prog = exchange_program(p);
             let input: Vec<Word> = (0..(p * 4) as Word).collect();
-            let dense = BspMachine::new(p, 2, 16)
-                .expect("valid BSP config")
-                .with_routing(Routing::Dense);
-            let reference = BspMachine::new(p, 2, 16)
-                .expect("valid BSP config")
-                .with_reference_routing();
+            let dense = BspMachine::new(p, 2, 16).expect("valid BSP config");
+            let reference = dense.clone().with_reference_routing();
             let ((ds, dr), (rs, rr)) = best_of_pair(
                 reps,
                 || dense.run(&prog, &input),

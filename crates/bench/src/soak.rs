@@ -4,8 +4,9 @@
 //! [`Server`] while injecting the faults a hostile or unlucky client
 //! population produces — malformed frames, oversized frames, mid-request
 //! disconnects, deterministic deadline trips, budget-exhausting tenants,
-//! and concurrent duplicate storms — and checks the service's invariants
-//! the whole way:
+//! hostile plans addressing cells far past the memory limit, and
+//! concurrent duplicate storms — and checks the service's invariants the
+//! whole way:
 //!
 //! * **zero panics** — every response is a full answer, a typed error, or
 //!   a degraded static fallback; a worker that dies mid-request is a
@@ -19,7 +20,10 @@
 //! * **deadline discipline** — no request's wall latency exceeds twice
 //!   its deadline budget, and a connection answers a malformed frame and
 //!   the valid one after it within the default deadline, even when one
-//!   string fills the malformed frame to the frame cap.
+//!   string fills the malformed frame to the frame cap;
+//! * **bounded hostile plans** — an inline plan writing cell 2^50 draws a
+//!   typed `model_rule` error, and one reading cell `usize::MAX` runs,
+//!   each within the default deadline (no address-sized allocation).
 //!
 //! Everything is seeded: two soaks with the same [`SoakConfig`] replay
 //! the same request schedule.
@@ -31,6 +35,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parbounds::analyze::{ir_family_plan, predict_ledger, IR_FAMILIES};
+use parbounds::ir::{
+    dart_round, scatter_gather, ModelKind, PhasePlan, PlanBody, ProcPhase, ValueRule,
+};
 use parbounds::models::CostLedger;
 use parbounds::serve::{
     json, Answer, ErrorCode, OracleConfig, PlanSource, QueryKind, Request, Response, Server,
@@ -360,6 +367,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         }
         batch_hit_rates.push(server.oracle().cache_stats().hit_rate());
     }
+
+    chaos_hostile_plans(&server, &tally);
 
     // Budget-exhausting storm: after the batches, the "spender" tenant
     // hammers the costliest plan until its budget runs dry. The refusal
@@ -713,6 +722,67 @@ fn chaos_wire_frame(server: &Server, rng: &mut ChaCha8Rng, tally: &Mutex<Tally>)
             "connection did not serve a valid frame after a malformed one: {}",
             lines[1]
         ));
+    }
+}
+
+/// The hostile-plan fault class: inline plans whose requests reach far
+/// past the address limit, each sent on its own connection. A one-entry
+/// scatter into cell 2^50 must draw a typed `model_rule` error, and a
+/// compile-ineligible plan (two writers racing on cell 0) that also reads
+/// cell `usize::MAX` must run, each answered within the default deadline.
+fn chaos_hostile_plans(server: &Server, tally: &Mutex<Tally>) {
+    let model = ModelKind::Qsm { g: 2 };
+    let far_write = scatter_gather(&[0], &[1 << 50], model);
+    let mut far_read = dart_round(&[(0, ValueRule::Const(1)), (0, ValueRule::Const(2))], model);
+    far_read.procs = 3;
+    if let PlanBody::Shared(phases) = &mut far_read.body {
+        phases[0].procs.push(ProcPhase::idle(2).read(usize::MAX));
+        phases[0].finish.push(2);
+    }
+    let cases: [(&str, PhasePlan, bool); 2] = [
+        ("write of cell 2^50", far_write, false),
+        ("read of cell usize::MAX", far_read, true),
+    ];
+    let deadline = server.config().oracle.default_deadline;
+    for (what, plan, runs) in cases {
+        let frame = Request {
+            id: 66,
+            tenant: "chaos".to_string(),
+            kind: QueryKind::Run,
+            deadline_ms: None,
+            trip_at_phase: None,
+            plan: PlanSource::Inline(plan),
+            input: None,
+        }
+        .to_json()
+        .render();
+        let mut out = Vec::new();
+        let begun = Instant::now();
+        server.serve_connection(format!("{frame}\n").as_bytes(), &mut out);
+        let took = begun.elapsed();
+        let answer = String::from_utf8_lossy(&out);
+        let typed = json::parse(answer.trim_end())
+            .ok()
+            .and_then(|v| Response::from_json(&v).ok())
+            .is_some_and(|r| match r.result {
+                Ok(Answer::Run { .. }) => runs,
+                Err(e) => !runs && e.code == ErrorCode::ModelRule,
+                Ok(_) => false,
+            });
+
+        let mut t = tally.lock().expect("tally lock");
+        t.wire_faults += 1;
+        t.wire_responses += answer.lines().count();
+        if took > deadline {
+            t.violations.push(format!(
+                "a hostile plan ({what}) took {took:?} to answer, past the {deadline:?} deadline"
+            ));
+        }
+        if !typed {
+            t.violations.push(format!(
+                "a hostile plan ({what}) drew the wrong answer: {answer}"
+            ));
+        }
     }
 }
 

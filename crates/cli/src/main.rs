@@ -1,27 +1,7 @@
 //! `parbounds` — run the SPAA'98 algorithms on the model simulators from
 //! the command line and compare against the Table 1 bounds.
 //!
-//! ```text
-//! parbounds tables    [--n N --g G --l L --p P]
-//! parbounds run       --problem parity|or|lac --model qsm|sqsm|qsm-cr|gsm|bsp [--reference]
-//!                     [--n N --g G --l L --p P --seed S --compiled]
-//! parbounds audit     [--r R --alpha A --beta B]
-//! parbounds audit     --symbolic [--all | --family F] [--n N --list]
-//! parbounds audit     --symbolic --mc [--family F --n N --seed S --samples K]
-//! parbounds audit     --symbolic --differential [--max-r R]
-//! parbounds audit     --symbolic --lint-gap [--n N]
-//! parbounds adversary [--n N --mu MU --trials T]
-//! parbounds emulate   [--n N --p P --g G --l L]
-//! parbounds faults    [--n N --seed S]
-//! parbounds lint      [--all | --family F] [--n N --seed S --list]
-//! parbounds analyze   --static [--all | --family F] [--n N --seed S --list --compiled]
-//! parbounds analyze   --symbolic [--all | --family F] [--n N --list]
-//! parbounds serve     [--addr HOST:PORT | --stdio] [--workers K --queue-cap Q
-//!                     --deadline-ms D --budget B --cache-cap C]
-//! parbounds soak      [--smoke] [--seed S --requests R --clients C --workers K --out PATH]
-//! parbounds sweep     [--model qsm|sqsm --problem parity|or|lac --ns N1,N2,.. --gs G1,G2,..
-//!                     --seed S --reference --shards K [--shard-id I] --out PATH]
-//! ```
+//! `parbounds help` prints every subcommand with its flags.
 
 #![forbid(unsafe_code)]
 
@@ -58,7 +38,7 @@ fn usage() -> &'static str {
     "usage:
   parbounds tables    [--n N --g G --l L --p P]
   parbounds run       --problem parity|or|lac --model qsm|sqsm|qsm-cr|gsm|bsp \\
-                      [--n N --g G --l L --p P --seed S --reference --compiled]
+                      [--n N --g G --l L --p P --seed S --compiled]
   parbounds audit     [--r R --alpha A --beta B]
   parbounds audit     --symbolic [--all | --family F] [--n N --list]
   parbounds audit     --symbolic --mc [--family F --n N --seed S --samples K]
@@ -74,7 +54,7 @@ fn usage() -> &'static str {
                       --deadline-ms D --budget B --cache-cap C]
   parbounds soak      [--smoke] [--seed S --requests R --clients C --workers K --out PATH]
   parbounds sweep     [--model qsm|sqsm --problem parity|or|lac --ns N1,N2,.. --gs G1,G2,..
-                      --seed S --reference --shards K [--shard-id I] --out PATH]"
+                      --seed S --shards K [--shard-id I] --out PATH]"
 }
 
 fn run(argv: Vec<String>) -> Result<(), String> {
@@ -114,26 +94,6 @@ fn cmd_tables(args: &Args) -> Result<(), String> {
     println!();
     println!("{}", render_rounds_table(&pr));
     Ok(())
-}
-
-/// Resolves the `--compiled` flag for `parbounds run`. Combining
-/// `--compiled` with `--reference` is rejected with a typed
-/// [`ModelError::BadConfig`]: the reference engines specify exactly the
-/// routing, conflict-check and arbitration machinery the compiled
-/// schedule elides, so there is no reference variant of the compiled path
-/// to run. (Fault plans are handled at the executor level — a faulted
-/// machine always falls back to the checked interpreter.)
-fn run_compiled_flag(flag: bool, reference: bool) -> Result<bool, String> {
-    if flag && reference {
-        return Err(ModelError::BadConfig(
-            "--compiled cannot be combined with --reference: the reference \
-             engines specify the routing and arbitration the compiled \
-             schedule elides"
-                .into(),
-        )
-        .to_string());
-    }
-    Ok(flag)
 }
 
 /// Machine-grid knobs a `run --compiled` invocation carries to the plan
@@ -225,17 +185,7 @@ fn run_compiled_lift(
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    args.assert_known(&[
-        "problem",
-        "model",
-        "n",
-        "g",
-        "l",
-        "p",
-        "seed",
-        "reference",
-        "compiled",
-    ])?;
+    args.assert_known(&["problem", "model", "n", "g", "l", "p", "seed", "compiled"])?;
     let n = args.usize("n", 4096)?;
     let g = args.u64("g", 8)?;
     let l = args.u64("l", 8 * g)?;
@@ -243,34 +193,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let seed = args.u64("seed", 42)?;
     let problem = args.str("problem", "parity");
     let model = args.str("model", "qsm");
-    // `--reference` runs on the pre-fast-path map-based engines (the
-    // executable spec of the dense routing tables) — results are identical,
-    // only wall-clock differs; useful for quick A/B sanity checks.
-    let reference = args.flag("reference");
     // `--compiled` runs the problem's PhaseIR lift through the plan
     // compiler instead of the closure-dispatch algorithms.
-    let compiled = run_compiled_flag(args.flag("compiled"), reference)?;
-    let qsm = |m: QsmMachine| {
-        if reference {
-            m.with_reference_routing()
-        } else {
-            m
-        }
-    };
-    let gsm = |m: GsmMachine| {
-        if reference {
-            m.with_reference_routing()
-        } else {
-            m
-        }
-    };
-    let bsp = |m: BspMachine| {
-        if reference {
-            m.with_reference_routing()
-        } else {
-            m
-        }
-    };
+    let compiled = args.flag("compiled");
 
     let bits = workloads::random_bits(n, seed);
     let items = workloads::sparse_items(n, (n / 8).max(1), seed);
@@ -284,13 +209,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         match (problem.as_str(), model.as_str()) {
             ("parity", "qsm") => {
-                let m = qsm(QsmMachine::qsm(g));
+                let m = QsmMachine::qsm(g);
                 let k = parity::parity_helper_default_k(&m);
                 let o = parity::parity_pattern_helper(&m, &bits, k).map_err(|e| e.to_string())?;
                 (o.value, o.run.time(), o.run.phases(), "pattern-helper")
             }
             ("parity", "qsm-cr") => {
-                let m = qsm(QsmMachine::qsm_unit_cr(g));
+                let m = QsmMachine::qsm_unit_cr(g);
                 let k = parity::parity_helper_default_k(&m);
                 let o = parity::parity_pattern_helper(&m, &bits, k).map_err(|e| e.to_string())?;
                 (
@@ -301,12 +226,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 )
             }
             ("parity", "sqsm") => {
-                let m = qsm(QsmMachine::sqsm(g));
+                let m = QsmMachine::sqsm(g);
                 let o = reduce::parity_read_tree(&m, &bits, 2).map_err(|e| e.to_string())?;
                 (o.value, o.run.time(), o.run.phases(), "binary read tree")
             }
             ("parity", "gsm") => {
-                let m = gsm(GsmMachine::new(1, g, 1));
+                let m = GsmMachine::new(1, g, 1);
                 let o = gsm_algos::gsm_parity(&m, &bits).map_err(|e| e.to_string())?;
                 (
                     o.value,
@@ -316,12 +241,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 )
             }
             ("parity", "bsp") => {
-                let m = bsp(BspMachine::new(p, g, l).map_err(|e| e.to_string())?);
+                let m = BspMachine::new(p, g, l).map_err(|e| e.to_string())?;
                 let o = bsp_algos::bsp_parity(&m, &bits).map_err(|e| e.to_string())?;
                 (o.value, o.time(), o.supersteps(), "fan-in L/g reduction")
             }
             ("or", "qsm") => {
-                let m = qsm(QsmMachine::qsm(g));
+                let m = QsmMachine::qsm(g);
                 let o = or_tree::or_write_tree(&m, &bits, g as usize).map_err(|e| e.to_string())?;
                 (
                     o.value,
@@ -331,12 +256,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 )
             }
             ("or", "sqsm") => {
-                let m = qsm(QsmMachine::sqsm(g));
+                let m = QsmMachine::sqsm(g);
                 let o = or_tree::or_write_tree(&m, &bits, 2).map_err(|e| e.to_string())?;
                 (o.value, o.run.time(), o.run.phases(), "binary write tree")
             }
             ("or", "gsm") => {
-                let m = gsm(GsmMachine::new(1, g, 1));
+                let m = GsmMachine::new(1, g, 1);
                 let o = gsm_algos::gsm_or(&m, &bits).map_err(|e| e.to_string())?;
                 (
                     o.value,
@@ -346,16 +271,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 )
             }
             ("or", "bsp") => {
-                let m = bsp(BspMachine::new(p, g, l).map_err(|e| e.to_string())?);
+                let m = BspMachine::new(p, g, l).map_err(|e| e.to_string())?;
                 let o = bsp_algos::bsp_or(&m, &bits).map_err(|e| e.to_string())?;
                 (o.value, o.time(), o.supersteps(), "fan-in L/g reduction")
             }
             ("lac", "qsm" | "sqsm") => {
-                let m = qsm(if model == "qsm" {
+                let m = if model == "qsm" {
                     QsmMachine::qsm(g)
                 } else {
                     QsmMachine::sqsm(g)
-                });
+                };
                 let o =
                     lac::lac_dart(&m, &items, (n / 8).max(1), seed).map_err(|e| e.to_string())?;
                 if !o.verify(&items) {
@@ -365,7 +290,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 (placed, o.run.time(), o.run.phases(), "dart-throwing")
             }
             ("lac", "bsp") => {
-                let m = bsp(BspMachine::new(p, g, l).map_err(|e| e.to_string())?);
+                let m = BspMachine::new(p, g, l).map_err(|e| e.to_string())?;
                 let o = bsp_algos::bsp_lac_dart(&m, &items, (n / 8).max(1), seed)
                     .map_err(|e| e.to_string())?;
                 if !o.verify(&items) {
@@ -392,16 +317,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     );
     println!("algorithm : {algo}");
-    println!(
-        "routing   : {}",
-        if reference {
-            "reference (map-based)"
-        } else if compiled {
-            "compiled straight-line schedule"
-        } else {
-            "dense"
-        }
-    );
+    let routing = if compiled {
+        "compiled straight-line schedule"
+    } else {
+        "dense"
+    };
+    println!("routing   : {routing}");
     println!("result    : {value}");
     println!("model time: {time}   phases/supersteps: {phases}");
 
@@ -769,15 +690,7 @@ fn csv_u64(text: &str, key: &str) -> Result<Vec<u64>, String> {
 /// it emits only its strided slice of rows and no summary.
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     args.assert_known(&[
-        "model",
-        "problem",
-        "ns",
-        "gs",
-        "seed",
-        "reference",
-        "shards",
-        "shard-id",
-        "out",
+        "model", "problem", "ns", "gs", "seed", "shards", "shard-id", "out",
     ])?;
     use parbounds::shard::{
         decode_row, encode_row, merge_shards, parse_model, parse_problem, sweep_point_row,
@@ -794,14 +707,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         .collect();
     let gs = csv_u64(&args.str("gs", "2,8"), "gs")?;
     let seed = args.u64("seed", 42)?;
-    let reference = args.flag("reference");
     let points = grid(&ns, &gs);
 
     // Shard-flag validation, all as typed BadConfig: an explicit
-    // `--shards 0`, a shard id at or past the shard count, a bare
-    // `--shard-id` with no `--shards`, and shard flags combined with
-    // `--reference` (child processes always run the dense engines, so a
-    // reference shard would silently not be one).
+    // `--shards 0`, a shard id at or past the shard count, and a bare
+    // `--shard-id` with no `--shards`.
     let sharded = args.has("shards") || args.has("shard-id");
     let shards = args.usize("shards", 1)?;
     let shard_id = if args.has("shard-id") {
@@ -817,14 +727,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     };
     if sharded {
         validate_shards(shards, shard_id).map_err(|e| e.to_string())?;
-        if reference {
-            return Err(ModelError::BadConfig(
-                "--shards cannot be combined with --reference: shard children run \
-                 the dense engines"
-                    .into(),
-            )
-            .to_string());
-        }
     }
 
     // Child mode: emit this shard's strided slice as NDJSON and exit.
@@ -887,7 +789,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     } else {
         points
             .iter()
-            .map(|pt| sweep_point_row(model, problem, pt, seed, reference))
+            .map(|pt| sweep_point_row(model, problem, pt, seed))
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?
     };
@@ -1287,25 +1189,20 @@ mod tests {
     }
 
     #[test]
-    fn compiled_flag_resolves_and_rejects_reference_combo() {
-        assert!(!run_compiled_flag(false, false).unwrap());
-        assert!(!run_compiled_flag(false, true).unwrap());
-        assert!(run_compiled_flag(true, false).unwrap());
-        let err = run_compiled_flag(true, true).unwrap_err();
-        assert!(
-            err.contains("--compiled cannot be combined with --reference"),
-            "{err}"
-        );
-        // The same rejection surfaces through the full subcommand path.
-        let argv: Vec<String> = "run --problem or --model qsm --n 64 --reference --compiled"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let err = run(argv).unwrap_err();
-        assert!(
-            err.contains("--compiled cannot be combined with --reference"),
-            "{err}"
-        );
+    fn reference_flag_is_rejected_as_unknown() {
+        for line in [
+            "run --problem or --model qsm --n 96 --reference",
+            "sweep --model qsm --problem or --ns 64 --gs 2 --reference",
+        ] {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let err = run(argv).unwrap_err();
+            let listed = err.starts_with("unknown flag --reference (expected one of [");
+            assert!(listed && err.ends_with("])"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn compiled_pairs_without_a_lift_are_rejected() {
         // Pairs without a PhaseIR lift are a typed BadConfig, not a crash.
         let argv: Vec<String> = "run --problem lac --model qsm --n 64 --compiled"
             .split_whitespace()
@@ -1332,7 +1229,7 @@ mod tests {
         // Single-process mode over a tiny grid (includes the default path).
         for line in [
             "sweep --model qsm --problem or --ns 64,256 --gs 2 --seed 3",
-            "sweep --model sqsm --problem parity --ns 256 --gs 2,4 --seed 3 --reference",
+            "sweep --model sqsm --problem parity --ns 256 --gs 2,4 --seed 3",
         ] {
             let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
             run(argv).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -1360,10 +1257,6 @@ mod tests {
                 "out of range",
             ),
             ("sweep --ns 64 --gs 2 --shard-id 0", "requires --shards"),
-            (
-                "sweep --ns 64 --gs 2 --shards 2 --reference",
-                "cannot be combined with --reference",
-            ),
             ("sweep --ns 64 --gs 0", "positive integers"),
             ("sweep --model gsm", "unknown model"),
             ("sweep --problem sort", "unknown problem"),

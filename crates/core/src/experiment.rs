@@ -146,9 +146,9 @@ pub fn qsm_time_row(problem: Problem, n: usize, g: u64, seed: u64) -> Result<Tab
 }
 
 /// [`qsm_time_row`] on a caller-supplied machine: the row's `g` comes from
-/// the machine, and any execution options (routing, tracing, faults) the
-/// machine carries apply. This is what lets the hot-path benchmark run the
-/// same workload on the dense and the reference engine.
+/// the machine, and the run policy the machine carries (tracing, faults,
+/// the reference engines) applies. This is what lets the hot-path
+/// benchmark run the same workload on the dense and the reference engine.
 pub fn qsm_time_row_on(
     machine: &QsmMachine,
     problem: Problem,

@@ -46,15 +46,8 @@ pub fn validate_shards(shards: usize, shard_id: Option<usize>) -> Result<()> {
 }
 
 /// Computes the sweep row for one grid point on the named shared-memory
-/// model. Machines carry a streaming ledger (rows only read aggregates) and
-/// optionally the reference (map-based) routing engine.
-pub fn sweep_point_row(
-    model: Model,
-    problem: Problem,
-    pt: &Point,
-    seed: u64,
-    reference: bool,
-) -> Result<TableRow> {
+/// model. Machines carry a streaming ledger (rows only read aggregates).
+pub fn sweep_point_row(model: Model, problem: Problem, pt: &Point, seed: u64) -> Result<TableRow> {
     let machine = match model {
         Model::Qsm => QsmMachine::qsm(pt.g),
         Model::SQsm => QsmMachine::sqsm(pt.g),
@@ -65,11 +58,6 @@ pub fn sweep_point_row(
         }
     };
     let machine = machine.with_streaming_ledger();
-    let machine = if reference {
-        machine.with_reference_routing()
-    } else {
-        machine
-    };
     match model {
         Model::Qsm => qsm_time_row_on(&machine, problem, pt.n, seed),
         _ => sqsm_time_row_on(&machine, problem, pt.n, seed),
@@ -88,7 +76,7 @@ pub fn sweep_shard_rows(
 ) -> Result<Vec<(usize, TableRow)>> {
     shard_indices(points.len(), shards, shard_id)?
         .into_iter()
-        .map(|i| sweep_point_row(model, problem, &points[i], seed, false).map(|row| (i, row)))
+        .map(|i| sweep_point_row(model, problem, &points[i], seed).map(|row| (i, row)))
         .collect()
 }
 
@@ -362,7 +350,7 @@ mod tests {
         let points = grid(&[1 << 8], &[2, 8]);
         for (i, pt) in points.iter().enumerate() {
             for problem in [Problem::Parity, Problem::Or, Problem::Lac] {
-                let row = sweep_point_row(Model::Qsm, problem, pt, 7, false).unwrap();
+                let row = sweep_point_row(Model::Qsm, problem, pt, 7).unwrap();
                 let line = encode_row(i, &row);
                 let (j, back) = decode_row(&line).unwrap();
                 assert_eq!(j, i);
@@ -420,7 +408,7 @@ mod tests {
         let points = grid(&[1 << 8, 1 << 10], &[2, 8]);
         let single: Vec<TableRow> = points
             .iter()
-            .map(|pt| sweep_point_row(Model::SQsm, Problem::Parity, pt, 11, false).unwrap())
+            .map(|pt| sweep_point_row(Model::SQsm, Problem::Parity, pt, 11).unwrap())
             .collect();
         let mut collected = Vec::new();
         for shard_id in 0..3 {
@@ -438,7 +426,7 @@ mod tests {
     #[test]
     fn merge_rejects_missing_and_duplicate_indices() {
         let points = grid(&[1 << 8], &[2]);
-        let row = sweep_point_row(Model::Qsm, Problem::Or, &points[0], 5, false).unwrap();
+        let row = sweep_point_row(Model::Qsm, Problem::Or, &points[0], 5).unwrap();
         let err = merge_shards(vec![(0, row.clone())], 2).unwrap_err();
         assert!(err.to_string().contains("expected 2 rows"), "{err}");
         let err = merge_shards(vec![(0, row.clone()), (0, row)], 2).unwrap_err();
@@ -448,15 +436,18 @@ mod tests {
     #[test]
     fn reference_and_dense_sweep_rows_agree() {
         let pt = grid(&[1 << 8], &[4])[0];
-        let dense = sweep_point_row(Model::Qsm, Problem::Or, &pt, 9, false).unwrap();
-        let reference = sweep_point_row(Model::Qsm, Problem::Or, &pt, 9, true).unwrap();
+        let dense = sweep_point_row(Model::Qsm, Problem::Or, &pt, 9).unwrap();
+        let machine = QsmMachine::qsm(pt.g)
+            .with_streaming_ledger()
+            .with_reference_routing();
+        let reference = qsm_time_row_on(&machine, Problem::Or, pt.n, 9).unwrap();
         assert_eq!(dense, reference);
     }
 
     #[test]
     fn bsp_sweeps_are_rejected_with_a_typed_error() {
         let pt = grid(&[64], &[2])[0];
-        let err = sweep_point_row(Model::Bsp, Problem::Or, &pt, 1, false).unwrap_err();
+        let err = sweep_point_row(Model::Bsp, Problem::Or, &pt, 1).unwrap_err();
         assert!(matches!(err, ModelError::BadConfig(_)), "{err}");
     }
 }

@@ -2,10 +2,11 @@
 //! the *flatness* statistic the shape checks rest on (`measured/formula`
 //! constant across a sweep ⇔ the claimed asymptotic shape is realized).
 
-use parbounds_models::{ModelError, QsmMachine, Result};
-use parbounds_tables::Problem;
+use parbounds_models::{ModelError, Result};
+use parbounds_tables::{Model, Problem};
 
-use crate::experiment::{qsm_time_row_on, sqsm_time_row_on, TableRow};
+use crate::experiment::TableRow;
+use crate::shard::sweep_point_row;
 
 /// A sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,15 +84,7 @@ pub fn qsm_shape_sweep(
     points: &[Point],
     seed: u64,
 ) -> Result<(Vec<TableRow>, Flatness)> {
-    let rows: Vec<TableRow> = points
-        .iter()
-        .map(|pt| {
-            let machine = QsmMachine::qsm(pt.g).with_streaming_ledger();
-            qsm_time_row_on(&machine, problem, pt.n, seed)
-        })
-        .collect::<Result<_>>()?;
-    let flat = flatness_of_rows(&rows)?;
-    Ok((rows, flat))
+    shape_sweep(Model::Qsm, problem, points, seed)
 }
 
 /// The s-QSM analogue of [`qsm_shape_sweep`] (streaming ledgers likewise).
@@ -100,12 +93,18 @@ pub fn sqsm_shape_sweep(
     points: &[Point],
     seed: u64,
 ) -> Result<(Vec<TableRow>, Flatness)> {
+    shape_sweep(Model::SQsm, problem, points, seed)
+}
+
+fn shape_sweep(
+    model: Model,
+    problem: Problem,
+    points: &[Point],
+    seed: u64,
+) -> Result<(Vec<TableRow>, Flatness)> {
     let rows: Vec<TableRow> = points
         .iter()
-        .map(|pt| {
-            let machine = QsmMachine::sqsm(pt.g).with_streaming_ledger();
-            sqsm_time_row_on(&machine, problem, pt.n, seed)
-        })
+        .map(|pt| sweep_point_row(model, problem, pt, seed))
         .collect::<Result<_>>()?;
     let flat = flatness_of_rows(&rows)?;
     Ok((rows, flat))

@@ -748,9 +748,7 @@ fn run_compiled_shared_seq(
     let mut fired_reads: Vec<(usize, Addr, bool)> = Vec::new();
 
     for (t, phase) in cs.phases.iter().enumerate() {
-        if let Some(token) = machine.cancel_token() {
-            token.check(t)?;
-        }
+        machine.options().check_cancel(t)?;
         match phase {
             CompiledPhase::Static(sp) => {
                 for &(pid, update) in &sp.updates {
@@ -862,7 +860,7 @@ pub fn run_compiled_msg_batch(
     if machine.fault_plan().is_some() || machine.options().record_trace || machine.p() != cm.procs {
         return run_msg_batch(plan, machine, input);
     }
-    let limit = machine.max_steps();
+    let limit = machine.max_phases();
     if cm.steps.len() > limit {
         return Err(ModelError::PhaseLimitExceeded { limit });
     }
@@ -881,9 +879,7 @@ pub fn run_compiled_msg_batch(
     let mut cur: Vec<Word> = Vec::new();
     let mut next: Vec<Word> = Vec::with_capacity(cm.max_arena);
     for (t, step) in cm.steps.iter().enumerate() {
-        if let Some(token) = machine.cancel_token() {
-            token.check(t)?;
-        }
+        machine.options().check_cancel(t)?;
         next.clear();
         next.resize(step.next_len, 0);
         for comp in &step.comps {

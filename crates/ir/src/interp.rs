@@ -254,13 +254,11 @@ pub fn execute_plan_cancellable(
 }
 
 /// Runs `plan` through the generic closure-dispatch interpreters
-/// ([`IrProgram`] / [`IrBspProgram`]) on the real machines, configured with
-/// [`Routing::Reference`] — i.e. the full pre-fast-path stack (per-processor
-/// closure dispatch feeding the map-based reference engines). This is the
-/// executable specification [`execute_plan`]'s batch path is differentially
-/// tested against; both return identical [`PlanRun`]s.
-///
-/// [`Routing::Reference`]: parbounds_models::Routing::Reference
+/// ([`IrProgram`] / [`IrBspProgram`]) on the real machines' map-based
+/// reference engines (`with_reference_routing()`) — i.e. the full
+/// pre-fast-path stack. This is the executable specification
+/// [`execute_plan`]'s batch path is differentially tested against; both
+/// return identical [`PlanRun`]s.
 pub fn execute_plan_reference(plan: &PhasePlan, input: &[Word]) -> Result<PlanRun> {
     match plan.model {
         ModelKind::Qsm { .. } | ModelKind::SQsm { .. } | ModelKind::QsmUnitCr { .. } => {
@@ -369,9 +367,7 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
     let mut new_reads: Vec<(usize, Addr)> = Vec::new();
 
     for (t, phase) in phases.iter().enumerate() {
-        if let Some(token) = machine.cancel_token() {
-            token.check(t)?;
-        }
+        machine.options().check_cancel(t)?;
         read_table.begin_phase();
         writes.begin_phase();
         new_reads.clear();
@@ -506,7 +502,7 @@ pub fn run_msg_batch(plan: &PhasePlan, machine: &BspMachine, input: &[Word]) -> 
     // guarantees some component retires in the final superstep, so the
     // machine would execute exactly `steps.len()` supersteps.
     let p = machine.p();
-    let limit = machine.max_steps();
+    let limit = machine.max_phases();
     if steps.len() > limit {
         return Err(ModelError::PhaseLimitExceeded { limit });
     }
@@ -540,9 +536,7 @@ pub fn run_msg_batch(plan: &PhasePlan, machine: &BspMachine, input: &[Word]) -> 
     let mut inbox_vals: Vec<Word> = Vec::new();
 
     for (t, step) in steps.iter().enumerate() {
-        if let Some(token) = machine.cancel_token() {
-            token.check(t)?;
-        }
+        machine.options().check_cancel(t)?;
         for ib in next_inboxes.iter_mut() {
             ib.clear();
         }

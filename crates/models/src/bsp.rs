@@ -9,11 +9,10 @@
 //! machine. Input is partitioned uniformly: component `i` is assigned either
 //! `⌈n/p⌉` or `⌊n/p⌋` inputs.
 
-use crate::cancel::CancelToken;
 use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
-use crate::exec::{ExecOptions, Routing};
-use crate::faults::{FaultInjector, FaultLog, FaultPlan};
+use crate::faults::{FaultInjector, FaultLog};
+use crate::machine::Machine;
 use crate::shared::{Status, Word};
 
 /// A point-to-point message. `tag` lets algorithms multiplex message kinds
@@ -150,7 +149,7 @@ where
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BspTrace {
     /// One entry per superstep, in execution order. At most
-    /// [`ExecOptions::trace_phase_cap`] supersteps are retained.
+    /// [`trace_phase_cap`](crate::ExecOptions::trace_phase_cap) supersteps are retained.
     pub steps: Vec<BspStepTrace>,
     /// Number of supersteps the run actually executed.
     pub total_steps: usize,
@@ -182,7 +181,7 @@ pub struct BspRunResult<S> {
     pub states: Vec<S>,
     /// Per-superstep cost records.
     pub ledger: CostLedger,
-    /// What the fault injector did, if the machine carried a [`FaultPlan`].
+    /// What the fault injector did, if the machine carried a [`FaultPlan`](crate::FaultPlan).
     pub faults: Option<FaultLog>,
     /// Full message trace, if the machine was built
     /// [`BspMachine::with_tracing`] (or the run used
@@ -202,19 +201,19 @@ impl<S> BspRunResult<S> {
     }
 }
 
-/// The BSP machine: `p` components, bandwidth gap `g`, latency `L ≥ g`.
-#[derive(Debug, Clone)]
-pub struct BspMachine {
+/// The BSP's own parameters: `p` components, bandwidth gap `g`, latency
+/// `L ≥ g`.
+#[derive(Debug, Clone, Copy)]
+pub struct Bsp {
     p: usize,
     g: u64,
     l: u64,
-    max_steps: usize,
-    faults: Option<FaultPlan>,
-    cancel: Option<CancelToken>,
-    opts: ExecOptions,
 }
 
-impl BspMachine {
+/// The BSP machine: `p` components, bandwidth gap `g`, latency `L ≥ g`.
+pub type BspMachine = Machine<Bsp>;
+
+impl Machine<Bsp> {
     /// A BSP(p, g, L). Fails if `p = 0` or `L < g` (the paper assumes
     /// `L ≥ g` throughout).
     pub fn new(p: usize, g: u64, l: u64) -> Result<Self> {
@@ -229,144 +228,39 @@ impl BspMachine {
                 "BSP requires L >= g (got L={l}, g={g})"
             )));
         }
-        Ok(BspMachine {
-            p,
-            g,
-            l,
-            max_steps: 1 << 20,
-            faults: None,
-            cancel: None,
-            opts: ExecOptions::default(),
-        })
-    }
-
-    /// Sets the runaway-protection superstep limit.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// The runaway-protection superstep limit.
-    pub fn max_steps(&self) -> usize {
-        self.max_steps
-    }
-
-    /// Attaches a [`FaultPlan`]: message drops/duplications, component
-    /// stalls/crashes and budget guards apply to every subsequent run,
-    /// which reports a [`FaultLog`] in [`BspRunResult::faults`].
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Detaches any fault plan (used to obtain fault-free baselines).
-    pub fn without_faults(mut self) -> Self {
-        self.faults = None;
-        self
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// Attaches a [`CancelToken`]: every subsequent run checks it at each
-    /// superstep boundary and stops with [`ModelError::DeadlineExceeded`]
-    /// once it trips, before the superstep's effects are applied.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Superstep-boundary cancellation checkpoint (no-op without a token).
-    fn check_cancel(&self, step: usize) -> Result<()> {
-        match &self.cancel {
-            Some(token) => token.check(step),
-            None => Ok(()),
-        }
-    }
-
-    /// Makes every subsequent [`BspMachine::run`] record a full
-    /// [`BspTrace`] into [`BspRunResult::trace`] (for algorithm entry
-    /// points that call `run` internally, e.g. the analyzer's lint pass).
-    pub fn with_tracing(mut self) -> Self {
-        self.opts.record_trace = true;
-        self
-    }
-
-    /// Replaces the execution options wholesale.
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Selects the execution strategy ([`Routing::Dense`] = the pooled
-    /// fast path, default).
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.opts.routing = routing;
-        self
-    }
-
-    /// Executes through the original per-superstep-allocating reference
-    /// path.
-    pub fn with_reference_routing(self) -> Self {
-        self.with_routing(Routing::Reference)
-    }
-
-    /// Sets the maximum number of supersteps a recorded trace retains.
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.opts.trace_phase_cap = cap;
-        self
-    }
-
-    /// Folds run ledgers into running aggregates without retaining
-    /// per-superstep records. See
-    /// [`crate::QsmMachine::with_streaming_ledger`].
-    pub fn with_streaming_ledger(mut self) -> Self {
-        self.opts.streaming_ledger = true;
-        self
-    }
-
-    /// The execution options currently in force.
-    pub fn options(&self) -> ExecOptions {
-        self.opts
+        Ok(Machine::with_model(Bsp { p, g, l }))
     }
 
     /// Number of components.
     pub fn p(&self) -> usize {
-        self.p
+        self.model.p
     }
 
     /// Bandwidth gap `g`.
     pub fn g(&self) -> u64 {
-        self.g
+        self.model.g
     }
 
     /// Latency / synchronization parameter `L`.
     pub fn l(&self) -> u64 {
-        self.l
+        self.model.l
     }
 
     /// Superstep cost `max(w, g·h, L)`.
     pub fn superstep_cost(&self, w: u64, h: u64) -> u64 {
-        w.max(self.g * h).max(self.l)
+        w.max(self.model.g * h).max(self.model.l)
     }
 
     /// Partitions `input` uniformly: component `i` gets a contiguous slice
     /// of size `⌈n/p⌉` or `⌊n/p⌋` (the first `n mod p` components get the
     /// larger share).
     pub fn partition<'a>(&self, input: &'a [Word]) -> Vec<&'a [Word]> {
-        let n = input.len();
-        let base = n / self.p;
-        let extra = n % self.p;
-        let mut out = Vec::with_capacity(self.p);
+        let (n, p) = (input.len(), self.model.p);
+        let base = n / p;
+        let extra = n % p;
+        let mut out = Vec::with_capacity(p);
         let mut at = 0;
-        for i in 0..self.p {
+        for i in 0..p {
             let len = base + usize::from(i < extra);
             out.push(&input[at..at + len]);
             at += len;
@@ -396,9 +290,10 @@ impl BspMachine {
         input: &[Word],
         want_trace: bool,
     ) -> Result<BspRunResult<P::Proc>> {
-        match self.opts.routing {
-            Routing::Dense => self.execute_pooled(program, input, want_trace),
-            Routing::Reference => self.execute_reference(program, input, want_trace),
+        if self.opts.reference {
+            self.execute_reference(program, input, want_trace)
+        } else {
+            self.execute_pooled(program, input, want_trace)
         }
     }
 
@@ -418,42 +313,36 @@ impl BspMachine {
             .enumerate()
             .map(|(pid, sl)| program.create(pid, sl))
             .collect();
-        let mut active = vec![true; self.p];
-        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
+        let mut active = vec![true; self.model.p];
+        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.model.p];
         let mut ledger = self.opts.new_ledger();
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let step_limit = injector
-            .as_ref()
-            .map_or(self.max_steps, |i| i.effective_phase_limit(self.max_steps));
+        let (mut injector, step_limit) = self.opts.start_run();
         // Each component's own superstep counter: advances only when it
         // actually executes, so an injected stall is a pure delay from the
         // program's point of view. Without faults this equals the global
         // superstep number.
-        let mut local_step: Vec<usize> = vec![0; self.p];
+        let mut local_step: Vec<usize> = vec![0; self.model.p];
 
         let mut step_no = 0usize;
         while active.iter().any(|&a| a) {
-            if step_no >= step_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: step_limit });
-            }
-            self.check_cancel(step_no)?;
-            let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
+            self.opts.enter_phase(step_no, step_limit)?;
+            let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.model.p];
             let mut w: u64 = 0;
             let mut max_sent: u64 = 0;
-            let mut received: Vec<u64> = vec![0; self.p];
+            let mut received: Vec<u64> = vec![0; self.model.p];
             let mut stalled: Vec<usize> = Vec::new();
             let mut step_trace =
                 trace
                     .as_ref()
                     .filter(|t| t.steps.len() < cap)
                     .map(|_| BspStepTrace {
-                        sent: vec![Vec::new(); self.p],
-                        received: vec![Vec::new(); self.p],
-                        executed: vec![false; self.p],
-                        finished: vec![false; self.p],
+                        sent: vec![Vec::new(); self.model.p],
+                        received: vec![Vec::new(); self.model.p],
+                        executed: vec![false; self.model.p],
+                        finished: vec![false; self.model.p],
                     });
 
-            for pid in 0..self.p {
+            for pid in 0..self.model.p {
                 if !active[pid] {
                     continue;
                 }
@@ -486,10 +375,10 @@ impl BspMachine {
                 }
 
                 for (dest, mut msg) in ctx.outbox {
-                    if dest >= self.p {
+                    if dest >= self.model.p {
                         return Err(ModelError::BadProcessor {
                             pid: dest,
-                            num_procs: self.p,
+                            num_procs: self.model.p,
                         });
                     }
                     msg.src = pid;
@@ -581,29 +470,23 @@ impl BspMachine {
             .enumerate()
             .map(|(pid, sl)| program.create(pid, sl))
             .collect();
-        let mut active = vec![true; self.p];
-        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
+        let mut active = vec![true; self.model.p];
+        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.model.p];
         // Double buffer for next-superstep deliveries: swapped with
         // `inboxes` at the end of each step so capacities are recycled.
-        let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.p];
+        let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.model.p];
         let mut ledger = self.opts.new_ledger();
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let step_limit = injector
-            .as_ref()
-            .map_or(self.max_steps, |i| i.effective_phase_limit(self.max_steps));
-        let mut local_step: Vec<usize> = vec![0; self.p];
+        let (mut injector, step_limit) = self.opts.start_run();
+        let mut local_step: Vec<usize> = vec![0; self.model.p];
 
         // Per-run scratch, allocated once and reused across supersteps.
-        let mut received: Vec<u64> = vec![0; self.p];
+        let mut received: Vec<u64> = vec![0; self.model.p];
         let mut stalled: Vec<usize> = Vec::new();
         let mut outbox_buf: Vec<(usize, Msg)> = Vec::new();
 
         let mut step_no = 0usize;
         while active.iter().any(|&a| a) {
-            if step_no >= step_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: step_limit });
-            }
-            self.check_cancel(step_no)?;
+            self.opts.enter_phase(step_no, step_limit)?;
             for ib in next_inboxes.iter_mut() {
                 ib.clear();
             }
@@ -616,13 +499,13 @@ impl BspMachine {
                     .as_ref()
                     .filter(|t| t.steps.len() < cap)
                     .map(|_| BspStepTrace {
-                        sent: vec![Vec::new(); self.p],
-                        received: vec![Vec::new(); self.p],
-                        executed: vec![false; self.p],
-                        finished: vec![false; self.p],
+                        sent: vec![Vec::new(); self.model.p],
+                        received: vec![Vec::new(); self.model.p],
+                        executed: vec![false; self.model.p],
+                        finished: vec![false; self.model.p],
                     });
 
-            for pid in 0..self.p {
+            for pid in 0..self.model.p {
                 if !active[pid] {
                     continue;
                 }
@@ -658,10 +541,10 @@ impl BspMachine {
 
                 let mut outbox = ctx.outbox;
                 for (dest, mut msg) in outbox.drain(..) {
-                    if dest >= self.p {
+                    if dest >= self.model.p {
                         return Err(ModelError::BadProcessor {
                             pid: dest,
-                            num_procs: self.p,
+                            num_procs: self.model.p,
                         });
                     }
                     msg.src = pid;
@@ -905,7 +788,7 @@ mod tests {
             |_, _: &[Word]| (),
             |_, _, _: &mut Superstep<'_>| Status::Active,
         );
-        let m = BspMachine::new(2, 1, 1).unwrap().with_max_steps(5);
+        let m = BspMachine::new(2, 1, 1).unwrap().with_max_phases(5);
         assert!(matches!(
             m.run(&prog, &[]),
             Err(ModelError::PhaseLimitExceeded { limit: 5 })

@@ -1,22 +1,19 @@
 //! Execution policies and the dense request-routing fast path.
 //!
 //! The cost semantics of Section 2 constrain *what* a phase is charged, not
-//! *how* the simulator aggregates requests. The engines in this crate
-//! therefore ship two request-routing strategies selected by
-//! [`ExecOptions::routing`]:
+//! *how* the simulator aggregates requests. The engines route a phase's
+//! requests through epoch-stamped, address-indexed scratch tables
+//! ([`ContentionTable`], [`WriteRouter`]) allocated once per run and reused
+//! across phases. The per-address lanes are *paged* ([`LANE_PAGE_WORDS`]-entry
+//! pages allocated on first touch), so scratch footprint is proportional to
+//! the addresses a run actually routes, not to the highest address or the
+//! address space; addresses at or above [`DEFAULT_MEM_LIMIT`] take no lane
+//! page at all.
 //!
-//! * [`Routing::Reference`] — the original `HashMap`/`BTreeMap` aggregation,
-//!   kept verbatim as the executable specification;
-//! * [`Routing::Dense`] (default) — epoch-stamped, address-indexed scratch
-//!   tables ([`ContentionTable`], [`WriteRouter`]) allocated once per run and
-//!   reused across phases. The per-address lanes are *paged*
-//!   ([`LANE_PAGE_WORDS`]-entry pages allocated on first touch), so scratch
-//!   footprint is proportional to the addresses a run actually routes, not
-//!   to the highest address or the address space — million-scale and
-//!   high-base sparse layouts stay at dense-lane speed without a hash-map
-//!   fallback.
-//!
-//! Both strategies are **bit-identical** observationally: same
+//! The original `HashMap`/`BTreeMap` engines stay as the executable
+//! specification, reached only through
+//! [`Machine::with_reference_routing`](crate::Machine::with_reference_routing).
+//! Both are **bit-identical** observationally: same
 //! [`CostLedger`](crate::cost::CostLedger), same arbitration winners (RNG
 //! draws and [`FaultInjector`] choice points happen in the same order),
 //! same fault behaviour, same committed memory.
@@ -32,9 +29,12 @@
 //! `total_phases`/`truncated` header so consumers can detect capping instead
 //! of silently analysing a prefix.
 
+use std::collections::HashMap;
+
+use crate::cancel::CancelToken;
 use crate::error::{ModelError, Result};
-use crate::faults::FaultInjector;
-use crate::shared::{Addr, Status, Word};
+use crate::faults::{FaultInjector, FaultPlan};
+use crate::shared::{Addr, Status, Word, DEFAULT_MEM_LIMIT};
 
 /// log2 of [`LANE_PAGE_WORDS`].
 pub const LANE_PAGE_SHIFT: usize = 14;
@@ -50,19 +50,20 @@ pub const LANE_PAGE_WORDS: usize = 1 << LANE_PAGE_SHIFT;
 /// an explicit, surfaced truncation (`ExecTrace::truncated`).
 pub const DEFAULT_TRACE_PHASE_CAP: usize = 1 << 16;
 
-/// Which request-routing implementation an engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routing {
-    /// Dense epoch-stamped scratch tables (the fast path, default).
-    #[default]
-    Dense,
-    /// The original map-based aggregation (the executable specification).
-    Reference,
-}
-
-/// Per-machine execution policies orthogonal to the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The run policy of a [`Machine`](crate::Machine), the same for every
+/// model: phase limit, fault plan, cancellation, tracing and ledger
+/// retention. The machine's builders set it; engines read it.
+#[derive(Debug, Clone)]
 pub struct ExecOptions {
+    /// Runaway protection: a run that reaches this many phases (supersteps)
+    /// fails with [`ModelError::PhaseLimitExceeded`]. 2^20 by default.
+    pub(crate) max_phases: usize,
+    /// Faults injected into every run, which then reports a
+    /// [`FaultLog`](crate::FaultLog) in its result.
+    pub(crate) faults: Option<FaultPlan>,
+    /// Checked at every phase boundary: once it trips, the run stops with
+    /// [`ModelError::DeadlineExceeded`] before the phase's effects apply.
+    pub(crate) cancel: Option<CancelToken>,
     /// Record an execution trace into the run result. Off by default:
     /// sweeps and benches skip tracing entirely; `parbounds lint` turns it
     /// on via the machines' `with_tracing` builders.
@@ -72,23 +73,28 @@ pub struct ExecOptions {
     /// execute and are counted in the trace header, but their per-request
     /// detail is dropped and the trace is marked truncated.
     pub trace_phase_cap: usize,
-    /// Request-routing strategy (dense fast path by default).
-    pub routing: Routing,
     /// Fold the cost ledger into running aggregates instead of retaining
     /// per-phase records (off by default). Streaming runs return a ledger
     /// whose aggregate accessors are identical but whose
     /// [`phases()`](crate::cost::CostLedger::phases) is empty — the
     /// long-phase-count sweep configuration.
     pub streaming_ledger: bool,
+    /// Run on the map-based reference engines, the executable
+    /// specification the differential suites test the fast engines
+    /// against (off by default).
+    pub(crate) reference: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
+            max_phases: 1 << 20,
+            faults: None,
+            cancel: None,
             record_trace: false,
             trace_phase_cap: DEFAULT_TRACE_PHASE_CAP,
-            routing: Routing::Dense,
             streaming_ledger: false,
+            reference: false,
         }
     }
 }
@@ -105,7 +111,39 @@ impl ExecOptions {
             crate::cost::CostLedger::new()
         }
     }
+
+    /// Phase-boundary cancellation checkpoint (a no-op without a token).
+    pub fn check_cancel(&self, phase: usize) -> Result<()> {
+        match &self.cancel {
+            Some(token) => token.check(phase),
+            None => Ok(()),
+        }
+    }
+
+    /// Every engine's per-run set-up: the fault plan's injector, if any, and
+    /// the phase limit, `max_phases` tightened by the plan's phase budget.
+    pub(crate) fn start_run(&self) -> (Option<FaultInjector>, usize) {
+        let injector = self.faults.as_ref().map(FaultInjector::new);
+        let limit = injector.as_ref().map_or(self.max_phases, |i| {
+            i.effective_phase_limit(self.max_phases)
+        });
+        (injector, limit)
+    }
+
+    /// The check before phase `phase` of a run limited to `limit` phases:
+    /// the phase limit, then the cancellation checkpoint.
+    pub(crate) fn enter_phase(&self, phase: usize, limit: usize) -> Result<()> {
+        if phase >= limit {
+            return Err(ModelError::PhaseLimitExceeded { limit });
+        }
+        self.check_cancel(phase)
+    }
 }
+
+/// Addresses at or above this bound are counted in a per-phase map, not in
+/// lane pages, so the page directory stays below 2^20 entries however far
+/// a request reaches.
+const FAR_ADDR: Addr = DEFAULT_MEM_LIMIT;
 
 /// One scratch page of a [`ContentionTable`]: epoch stamps + counts for
 /// [`LANE_PAGE_WORDS`] consecutive addresses.
@@ -133,7 +171,8 @@ impl CtPage {
 /// must not pay a page-table lookup per access; further pages are
 /// allocated the first time any address in them is counted, so scratch
 /// footprint tracks the touched address set — arbitrary (e.g. 2^30-base)
-/// addresses cost one page, not a dense prefix or a per-phase hash map.
+/// addresses cost one page, not a dense prefix. Addresses at or above
+/// [`DEFAULT_MEM_LIMIT`] are counted in a per-phase map and cost no page.
 #[derive(Debug)]
 pub struct ContentionTable {
     epoch: u32,
@@ -141,6 +180,8 @@ pub struct ContentionTable {
     page0: Box<CtPage>,
     /// Lazily-allocated overflow pages, indexed by page index minus one.
     pages: Vec<Option<Box<CtPage>>>,
+    /// This phase's counts of addresses at or above `FAR_ADDR`.
+    far: HashMap<Addr, u32>,
     max: u32,
 }
 
@@ -150,6 +191,7 @@ impl Default for ContentionTable {
             epoch: 0,
             page0: CtPage::new(),
             pages: Vec::new(),
+            far: HashMap::new(),
             max: 0,
         }
     }
@@ -173,6 +215,7 @@ impl ContentionTable {
             }
             self.epoch = 1;
         }
+        self.far.clear();
         self.max = 0;
     }
 
@@ -187,12 +230,14 @@ impl ContentionTable {
     pub fn incr(&mut self, addr: Addr) {
         let page = if addr < LANE_PAGE_WORDS {
             &mut *self.page0
-        } else {
+        } else if addr < FAR_ADDR {
             let pi = (addr >> LANE_PAGE_SHIFT) - 1;
             if pi >= self.pages.len() {
                 self.pages.resize_with(pi + 1, || None);
             }
             &mut **self.pages[pi].get_or_insert_with(CtPage::new)
+        } else {
+            return self.incr_far(addr);
         };
         let i = addr & (LANE_PAGE_WORDS - 1);
         if page.stamp[i] == self.epoch {
@@ -204,11 +249,22 @@ impl ContentionTable {
         self.max = self.max.max(page.count[i]);
     }
 
+    /// [`ContentionTable::incr`] of an address at or above `FAR_ADDR`,
+    /// kept out of line so the hot lane path stays small.
+    #[cold]
+    fn incr_far(&mut self, addr: Addr) {
+        let count = self.far.entry(addr).or_insert(0);
+        *count += 1;
+        self.max = self.max.max(*count);
+    }
+
     /// Whether `addr` was accessed in the current phase.
     #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         let page = if addr < LANE_PAGE_WORDS {
             &*self.page0
+        } else if addr >= FAR_ADDR {
+            return self.far.contains_key(&addr);
         } else {
             match self.pages.get((addr >> LANE_PAGE_SHIFT) - 1) {
                 Some(Some(page)) => &**page,
@@ -260,9 +316,11 @@ impl WrPage {
 /// [`ContentionTable`], per-address lanes are epoch-stamped and paged:
 /// page 0 is allocated inline and eagerly (the hot small-address case
 /// skips the page table entirely), further pages on first touch, so
-/// `begin_phase` clears nothing and scratch footprint is proportional to
-/// the written address set. The flat/touched/bucket staging buffers are
-/// proportional to the *requests* of a phase, never to the address space.
+/// `begin_phase` clears no lane and scratch footprint is proportional to
+/// the written address set; addresses at or above [`DEFAULT_MEM_LIMIT`]
+/// keep their count and cursor in a per-phase map instead. The
+/// flat/touched/bucket staging buffers are proportional to the *requests*
+/// of a phase, never to the address space.
 #[derive(Debug)]
 pub struct WriteRouter {
     epoch: u32,
@@ -270,6 +328,8 @@ pub struct WriteRouter {
     page0: Box<WrPage>,
     /// Lazily-allocated overflow pages, indexed by page index minus one.
     pages: Vec<Option<Box<WrPage>>>,
+    /// This phase's `(count, cursor)` of addresses at or above `FAR_ADDR`.
+    far: HashMap<Addr, (u32, u32)>,
     /// Attempted writes in arrival (pid/request) order.
     flat: Vec<(Addr, Word)>,
     /// Distinct addresses touched this phase, sorted by [`WriteRouter::route`].
@@ -285,6 +345,7 @@ impl Default for WriteRouter {
             epoch: 0,
             page0: WrPage::new(),
             pages: Vec::new(),
+            far: HashMap::new(),
             flat: Vec::new(),
             touched: Vec::new(),
             bucket: Vec::new(),
@@ -309,6 +370,7 @@ impl WriteRouter {
             }
             self.epoch = 1;
         }
+        self.far.clear();
         self.flat.clear();
         self.touched.clear();
         self.max = 0;
@@ -325,12 +387,14 @@ impl WriteRouter {
     pub fn push(&mut self, addr: Addr, value: Word) {
         let page = if addr < LANE_PAGE_WORDS {
             &mut *self.page0
-        } else {
+        } else if addr < FAR_ADDR {
             let pi = (addr >> LANE_PAGE_SHIFT) - 1;
             if pi >= self.pages.len() {
                 self.pages.resize_with(pi + 1, || None);
             }
             &mut **self.pages[pi].get_or_insert_with(WrPage::new)
+        } else {
+            return self.push_far(addr, value);
         };
         let i = addr & (LANE_PAGE_WORDS - 1);
         if page.stamp[i] == self.epoch {
@@ -344,40 +408,52 @@ impl WriteRouter {
         self.flat.push((addr, value));
     }
 
-    #[inline]
-    fn page_of(&self, addr: Addr) -> Option<&WrPage> {
-        if addr < LANE_PAGE_WORDS {
-            Some(&self.page0)
-        } else {
-            self.pages[(addr >> LANE_PAGE_SHIFT) - 1].as_deref()
-        }
+    /// [`WriteRouter::push`] of an address at or above `FAR_ADDR`, kept out
+    /// of line so the hot lane path stays small.
+    #[cold]
+    fn push_far(&mut self, addr: Addr, value: Word) {
+        let (count, _) = self.far.entry(addr).or_insert_with(|| {
+            self.touched.push(addr);
+            (0, 0)
+        });
+        *count += 1;
+        self.max = self.max.max(*count);
+        self.flat.push((addr, value));
     }
 
+    /// The write count and the counting-sort cursor of an address
+    /// touched this phase.
+    #[inline]
+    fn lane(&mut self, addr: Addr) -> (u32, &mut u32) {
+        let page = if addr < LANE_PAGE_WORDS {
+            &mut *self.page0
+        } else if addr < FAR_ADDR {
+            let page = self.pages[(addr >> LANE_PAGE_SHIFT) - 1].as_deref_mut();
+            page.expect("a touched address has its lane page")
+        } else {
+            return self.far_lane(addr);
+        };
+        let i = addr & (LANE_PAGE_WORDS - 1);
+        (page.count[i], &mut page.cursor[i])
+    }
+
+    #[cold]
+    fn far_lane(&mut self, addr: Addr) -> (u32, &mut u32) {
+        let (count, cursor) = self.far.get_mut(&addr).expect("a touched far address");
+        (*count, cursor)
+    }
+
+    /// The write count of an address touched this phase.
     #[inline]
     fn count_of(&self, addr: Addr) -> u32 {
-        match self.page_of(addr) {
-            Some(page) => page.count[addr & (LANE_PAGE_WORDS - 1)],
-            None => 0,
-        }
-    }
-
-    #[inline]
-    fn set_cursor(&mut self, addr: Addr, v: u32) {
-        let page = if addr < LANE_PAGE_WORDS {
-            Some(&mut *self.page0)
+        let i = addr & (LANE_PAGE_WORDS - 1);
+        if addr < LANE_PAGE_WORDS {
+            self.page0.count[i]
+        } else if addr < FAR_ADDR {
+            let page = self.pages[(addr >> LANE_PAGE_SHIFT) - 1].as_deref();
+            page.map_or(0, |page| page.count[i])
         } else {
-            self.pages[(addr >> LANE_PAGE_SHIFT) - 1].as_deref_mut()
-        };
-        if let Some(page) = page {
-            page.cursor[addr & (LANE_PAGE_WORDS - 1)] = v;
-        }
-    }
-
-    #[inline]
-    fn cursor_of(&self, addr: Addr) -> u32 {
-        match self.page_of(addr) {
-            Some(page) => page.cursor[addr & (LANE_PAGE_WORDS - 1)],
-            None => 0,
+            self.far.get(&addr).map_or(0, |&(count, _)| count)
         }
     }
 
@@ -388,18 +464,18 @@ impl WriteRouter {
         self.touched.sort_unstable();
         let mut off = 0u32;
         for i in 0..self.touched.len() {
-            let a = self.touched[i];
-            let c = self.count_of(a);
-            self.set_cursor(a, off);
-            off += c;
+            let (count, cursor) = self.lane(self.touched[i]);
+            *cursor = off;
+            off += count;
         }
         self.bucket.clear();
         self.bucket.resize(self.flat.len(), 0);
         for i in 0..self.flat.len() {
             let (a, v) = self.flat[i];
-            let cur = self.cursor_of(a);
-            self.bucket[cur as usize] = v;
-            self.set_cursor(a, cur + 1);
+            let (_, cursor) = self.lane(a);
+            let at = *cursor as usize;
+            *cursor += 1;
+            self.bucket[at] = v;
         }
     }
 
@@ -658,10 +734,33 @@ mod tests {
     }
 
     #[test]
+    fn far_addresses_are_counted_without_lane_pages() {
+        let mut t = ContentionTable::new();
+        t.begin_phase();
+        for a in [FAR_ADDR, 1 << 50, usize::MAX, usize::MAX] {
+            t.incr(a);
+        }
+        assert!(t.contains(1 << 50) && t.contains(usize::MAX) && !t.contains(FAR_ADDR + 1));
+        assert_eq!((t.max_contention(), t.pages_touched()), (2, 1));
+        t.begin_phase();
+        assert!(!t.contains(usize::MAX) && t.is_empty());
+
+        let mut r = WriteRouter::new();
+        r.begin_phase();
+        for (a, v) in [(usize::MAX, 1), (7, 2), (1 << 50, 3), (usize::MAX, 4)] {
+            r.push(a, v);
+        }
+        r.route();
+        let groups: Vec<(Addr, Vec<Word>)> = r.groups().map(|(a, vs)| (a, vs.to_vec())).collect();
+        let want = vec![(7, vec![2]), (1 << 50, vec![3]), (usize::MAX, vec![1, 4])];
+        assert_eq!(groups, want);
+        assert_eq!((r.max_contention(), r.pages_touched()), (2, 1));
+    }
+
+    #[test]
     fn exec_options_default_is_dense_untraced() {
         let o = ExecOptions::default();
         assert!(!o.record_trace);
-        assert_eq!(o.routing, Routing::Dense);
         assert_eq!(o.trace_phase_cap, DEFAULT_TRACE_PHASE_CAP);
         assert!(!o.streaming_ledger);
         assert!(!o.new_ledger().is_streaming());

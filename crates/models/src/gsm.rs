@@ -15,11 +15,11 @@
 
 use std::collections::HashMap;
 
-use crate::cancel::CancelToken;
 use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
-use crate::exec::{ContentionTable, ExecOptions, LiveSet, Routing};
-use crate::faults::{FaultInjector, FaultLog, FaultPlan};
+use crate::exec::{ContentionTable, LiveSet};
+use crate::faults::{FaultInjector, FaultLog};
+use crate::machine::Machine;
 use crate::shared::{Addr, Status, Word, DEFAULT_MEM_LIMIT, PAGE_SHIFT, PAGE_WORDS};
 
 /// Contents of a GSM cell: the multiset of all information ever written,
@@ -232,7 +232,7 @@ impl GsmMemory {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GsmTrace {
     /// `phases[t].reads[pid]` = (cell, contents-at-read) pairs. At most
-    /// [`ExecOptions::trace_phase_cap`] phases are retained.
+    /// [`trace_phase_cap`](crate::ExecOptions::trace_phase_cap) phases are retained.
     pub phases: Vec<GsmPhaseTrace>,
     /// Number of phases the run actually executed.
     pub total_phases: usize,
@@ -261,7 +261,7 @@ pub struct GsmRunResult {
     pub memory: GsmMemory,
     /// Per-phase costs (in GSM time units, `μ` per big-step).
     pub ledger: CostLedger,
-    /// What the fault injector did, if the machine carried a [`FaultPlan`].
+    /// What the fault injector did, if the machine carried a [`FaultPlan`](crate::FaultPlan).
     pub faults: Option<FaultLog>,
     /// Full execution trace, if the machine was built
     /// [`GsmMachine::with_tracing`] (or the run used
@@ -281,157 +281,56 @@ impl GsmRunResult {
     }
 }
 
-/// The GSM machine.
-#[derive(Debug, Clone)]
-pub struct GsmMachine {
+/// The GSM's own parameters: α, β and γ.
+#[derive(Debug, Clone, Copy)]
+pub struct Gsm {
     alpha: u64,
     beta: u64,
     gamma: u64,
-    max_phases: usize,
-    faults: Option<FaultPlan>,
-    cancel: Option<CancelToken>,
-    opts: ExecOptions,
 }
 
-impl GsmMachine {
+/// The GSM machine.
+pub type GsmMachine = Machine<Gsm>;
+
+impl Machine<Gsm> {
     /// A GSM(α, β, γ).
     pub fn new(alpha: u64, beta: u64, gamma: u64) -> Self {
-        GsmMachine {
+        Machine::with_model(Gsm {
             alpha: alpha.max(1),
             beta: beta.max(1),
             gamma: gamma.max(1),
-            max_phases: 1 << 20,
-            faults: None,
-            cancel: None,
-            opts: ExecOptions::default(),
-        }
-    }
-
-    /// Sets the runaway-protection phase limit.
-    pub fn with_max_phases(mut self, max_phases: usize) -> Self {
-        self.max_phases = max_phases;
-        self
-    }
-
-    /// The runaway-protection phase limit.
-    pub fn max_phases(&self) -> usize {
-        self.max_phases
-    }
-
-    /// Attaches a [`FaultPlan`]. The GSM's strong-queuing cells merge all
-    /// writes, so winner policies do not apply, and there are no messages
-    /// to drop or duplicate; stalls, crashes and the cost/phase budget
-    /// guards are injected, and a [`FaultLog`] is reported in
-    /// [`GsmRunResult::faults`].
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Detaches any fault plan (used to obtain fault-free baselines).
-    pub fn without_faults(mut self) -> Self {
-        self.faults = None;
-        self
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// Attaches a [`CancelToken`]: every subsequent run checks it at each
-    /// phase boundary and stops with [`ModelError::DeadlineExceeded`] once
-    /// it trips, before the phase's effects are applied.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Phase-boundary cancellation checkpoint (no-op without a token).
-    fn check_cancel(&self, phase: usize) -> Result<()> {
-        match &self.cancel {
-            Some(token) => token.check(phase),
-            None => Ok(()),
-        }
-    }
-
-    /// Makes every subsequent [`GsmMachine::run`] record a full
-    /// [`GsmTrace`] into [`GsmRunResult::trace`] (for algorithm entry
-    /// points that call `run` internally, e.g. the analyzer's lint pass).
-    pub fn with_tracing(mut self) -> Self {
-        self.opts.record_trace = true;
-        self
-    }
-
-    /// Replaces the execution options wholesale.
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Selects the request-routing strategy (dense fast path by default).
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.opts.routing = routing;
-        self
-    }
-
-    /// Routes requests through the original map-based reference path.
-    pub fn with_reference_routing(self) -> Self {
-        self.with_routing(Routing::Reference)
-    }
-
-    /// Sets the maximum number of phases a recorded trace retains.
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.opts.trace_phase_cap = cap;
-        self
-    }
-
-    /// Folds run ledgers into running aggregates without retaining
-    /// per-phase records. See [`crate::QsmMachine::with_streaming_ledger`].
-    pub fn with_streaming_ledger(mut self) -> Self {
-        self.opts.streaming_ledger = true;
-        self
-    }
-
-    /// The execution options currently in force.
-    pub fn options(&self) -> ExecOptions {
-        self.opts
+        })
     }
 
     /// `μ = max{α, β}` — the duration of one big-step.
     pub fn mu(&self) -> u64 {
-        self.alpha.max(self.beta)
+        self.model.alpha.max(self.model.beta)
     }
 
     /// `λ = min{α, β}`.
     pub fn lambda(&self) -> u64 {
-        self.alpha.min(self.beta)
+        self.model.alpha.min(self.model.beta)
     }
 
     /// The α parameter (reads/writes absorbed per processor per big-step).
     pub fn alpha(&self) -> u64 {
-        self.alpha
+        self.model.alpha
     }
 
     /// The β parameter (contention absorbed per cell per big-step).
     pub fn beta(&self) -> u64 {
-        self.beta
+        self.model.beta
     }
 
     /// The γ parameter (inputs initially packed per cell).
     pub fn gamma(&self) -> u64 {
-        self.gamma
+        self.model.gamma
     }
 
     /// Big-steps of a phase: `max(⌈m_rw/α⌉, ⌈κ/β⌉)`, at least 1.
     pub fn big_steps(&self, m_rw: u64, kappa: u64) -> u64 {
-        (m_rw.div_ceil(self.alpha))
-            .max(kappa.div_ceil(self.beta))
+        (m_rw.div_ceil(self.model.alpha))
+            .max(kappa.div_ceil(self.model.beta))
             .max(1)
     }
 
@@ -445,7 +344,7 @@ impl GsmMachine {
     /// about up to γ inputs, disjoint across cells).
     pub fn initial_memory(&self, input: &[Word]) -> GsmMemory {
         let mut mem = GsmMemory::default();
-        for (addr, cell) in input.chunks(self.gamma as usize).enumerate() {
+        for (addr, cell) in input.chunks(self.model.gamma as usize).enumerate() {
             *mem.cell_mut(addr) = cell.to_vec();
         }
         mem
@@ -453,7 +352,7 @@ impl GsmMachine {
 
     /// Number of input cells used for an `n`-word input: `⌈n/γ⌉`.
     pub fn input_cells(&self, n: usize) -> usize {
-        n.div_ceil(self.gamma as usize)
+        n.div_ceil(self.model.gamma as usize)
     }
 
     /// Runs `program` with `input` packed γ-per-cell from address 0.
@@ -478,9 +377,10 @@ impl GsmMachine {
         input: &[Word],
         want_trace: bool,
     ) -> Result<GsmRunResult> {
-        match self.opts.routing {
-            Routing::Dense => self.execute_dense(program, input, want_trace),
-            Routing::Reference => self.execute_reference(program, input, want_trace),
+        if self.opts.reference {
+            self.execute_reference(program, input, want_trace)
+        } else {
+            self.execute_dense(program, input, want_trace)
         }
     }
 
@@ -506,10 +406,7 @@ impl GsmMachine {
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
         let mut active = vec![true; n_procs];
         let mut pending: Vec<Vec<(Addr, CellContent)>> = vec![Vec::new(); n_procs];
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
-            i.effective_phase_limit(self.max_phases)
-        });
+        let (mut injector, phase_limit) = self.opts.start_run();
         // Per-processor phase counters so an injected stall is a pure delay.
         let mut local_phase: Vec<usize> = vec![0; n_procs];
 
@@ -518,10 +415,7 @@ impl GsmMachine {
 
         let mut phase_no = 0usize;
         while active.iter().any(|&a| a) {
-            if phase_no >= phase_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-            }
-            self.check_cancel(phase_no)?;
+            self.opts.enter_phase(phase_no, phase_limit)?;
             read_count.clear();
             write_count.clear();
 
@@ -671,10 +565,7 @@ impl GsmMachine {
         let mut ledger = self.opts.new_ledger();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
-            i.effective_phase_limit(self.max_phases)
-        });
+        let (mut injector, phase_limit) = self.opts.start_run();
 
         // Per-run scratch, allocated once and reused across phases.
         let mut read_table = ContentionTable::default();
@@ -687,10 +578,7 @@ impl GsmMachine {
 
         let mut phase_no = 0usize;
         while !live.is_empty() {
-            if phase_no >= phase_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-            }
-            self.check_cancel(phase_no)?;
+            self.opts.enter_phase(phase_no, phase_limit)?;
             read_table.begin_phase();
             write_table.begin_phase();
             new_writes.clear();

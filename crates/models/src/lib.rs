@@ -11,6 +11,9 @@
 //!   GSM(α, β, γ) with strong-queuing (information-merging) cells;
 //! * [`BspMachine`] — Valiant's Bulk-Synchronous Parallel model BSP(p, g, L).
 //!
+//! All three are one [`Machine`]: the model's own parameters plus the run
+//! policy every model shares ([`ExecOptions`]).
+//!
 //! Programs are bulk-synchronous descriptions (traits [`Program`],
 //! [`GsmProgram`], [`BspProgram`]); the machines execute them and charge
 //! *exactly* the per-phase cost formulas of Section 2 of the paper, recording
@@ -55,24 +58,26 @@ mod error;
 pub mod exec;
 pub mod faults;
 mod gsm;
+mod machine;
 mod qsm;
 mod shared;
 pub mod work;
 
 pub use bsp::{
-    BspFnProgram, BspMachine, BspProgram, BspRunResult, BspStepTrace, BspTrace, Msg, Superstep,
+    Bsp, BspFnProgram, BspMachine, BspProgram, BspRunResult, BspStepTrace, BspTrace, Msg, Superstep,
 };
 pub use cancel::CancelToken;
 pub use contract::{ContractMetric, ContractParams, CostContract};
 pub use cost::{round_budget_bsp, round_budget_gsm, round_budget_qsm, CostLedger, PhaseCost};
 pub use error::{ModelError, Result};
-pub use exec::{ExecOptions, Routing, DEFAULT_TRACE_PHASE_CAP, LANE_PAGE_WORDS};
+pub use exec::{ExecOptions, DEFAULT_TRACE_PHASE_CAP, LANE_PAGE_WORDS};
 pub use faults::{ChoicePoint, FaultInjector, FaultLog, FaultPlan, WinnerPolicy};
 pub use gsm::{
-    CellContent, GsmEnv, GsmFnProgram, GsmMachine, GsmMemory, GsmPhaseTrace, GsmProgram,
+    CellContent, Gsm, GsmEnv, GsmFnProgram, GsmMachine, GsmMemory, GsmPhaseTrace, GsmProgram,
     GsmRunResult, GsmTrace,
 };
-pub use qsm::{ExecTrace, PhaseTrace, QsmFlavor, QsmMachine, RunResult};
+pub use machine::Machine;
+pub use qsm::{ExecTrace, PhaseTrace, Qsm, QsmFlavor, QsmMachine, RunResult};
 pub use shared::{
     Addr, FnProgram, Memory, PhaseEnv, Program, Status, Word, DEFAULT_MEM_LIMIT, PAGE_SHIFT,
     PAGE_WORDS,

@@ -18,11 +18,11 @@ use std::collections::{BTreeMap, HashMap};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::cancel::CancelToken;
 use crate::cost::{CostLedger, PhaseCost};
 use crate::error::{ModelError, Result};
-use crate::exec::{ContentionTable, ExecOptions, LiveSet, Routing, WriteRouter};
-use crate::faults::{FaultInjector, FaultLog, FaultPlan};
+use crate::exec::{ContentionTable, LiveSet, WriteRouter};
+use crate::faults::{FaultInjector, FaultLog};
+use crate::machine::Machine;
 use crate::shared::{Addr, Memory, PhaseEnv, Program, Status, Word, DEFAULT_MEM_LIMIT};
 
 /// Which cost rule the machine charges.
@@ -48,7 +48,7 @@ pub struct RunResult {
     pub memory: Memory,
     /// Per-phase cost records.
     pub ledger: CostLedger,
-    /// What the fault injector did, if the machine carried a [`FaultPlan`].
+    /// What the fault injector did, if the machine carried a [`FaultPlan`](crate::FaultPlan).
     pub faults: Option<FaultLog>,
     /// Full execution trace, if the machine was built
     /// [`QsmMachine::with_tracing`] (or the run used
@@ -80,7 +80,7 @@ pub struct ExecTrace {
     /// `phases[t].reads[pid]` = the `(addr, value)` pairs processor `pid`
     /// read in phase `t`; `phases[t].writes[pid]` = the `(addr, value)`
     /// pairs it attempted to write (before arbitration). At most
-    /// [`ExecOptions::trace_phase_cap`] phases are retained.
+    /// [`trace_phase_cap`](crate::ExecOptions::trace_phase_cap) phases are retained.
     pub phases: Vec<PhaseTrace>,
     /// Number of phases the run actually executed. Equals `phases.len()`
     /// unless the trace was truncated at the phase cap.
@@ -105,20 +105,20 @@ pub struct PhaseTrace {
     pub finished: Vec<bool>,
 }
 
-/// A QSM-family machine: a cost rule plus execution policies.
-#[derive(Debug, Clone)]
-pub struct QsmMachine {
+/// The QSM family's own parameters: gap, cost flavour, arbitration seed
+/// and shared-memory address limit.
+#[derive(Debug, Clone, Copy)]
+pub struct Qsm {
     g: u64,
     flavor: QsmFlavor,
     seed: u64,
-    max_phases: usize,
     mem_limit: usize,
-    faults: Option<FaultPlan>,
-    cancel: Option<CancelToken>,
-    opts: ExecOptions,
 }
 
-impl QsmMachine {
+/// A QSM-family machine: a cost rule plus execution policies.
+pub type QsmMachine = Machine<Qsm>;
+
+impl Machine<Qsm> {
     /// A QSM with gap parameter `g`.
     pub fn qsm(g: u64) -> Self {
         Self::with_flavor(g, QsmFlavor::Qsm)
@@ -145,162 +145,53 @@ impl QsmMachine {
     }
 
     fn with_flavor(g: u64, flavor: QsmFlavor) -> Self {
-        QsmMachine {
+        Machine::with_model(Qsm {
             g: g.max(1),
             flavor,
             seed: 0x5eed_cafe,
-            max_phases: 1 << 20,
             mem_limit: DEFAULT_MEM_LIMIT,
-            faults: None,
-            cancel: None,
-            opts: ExecOptions::default(),
-        }
+        })
     }
 
     /// Sets the RNG seed used for arbitrary-write arbitration.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the runaway-protection phase limit.
-    pub fn with_max_phases(mut self, max_phases: usize) -> Self {
-        self.max_phases = max_phases;
+        self.model.seed = seed;
         self
     }
 
     /// Sets the shared-memory address limit.
     pub fn with_mem_limit(mut self, mem_limit: usize) -> Self {
-        self.mem_limit = mem_limit;
+        self.model.mem_limit = mem_limit;
         self
-    }
-
-    /// Attaches a [`FaultPlan`]: every subsequent run injects the plan's
-    /// faults and reports a [`FaultLog`] in [`RunResult::faults`].
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Detaches any fault plan (used to obtain fault-free baselines).
-    pub fn without_faults(mut self) -> Self {
-        self.faults = None;
-        self
-    }
-
-    /// Attaches a [`CancelToken`]: every subsequent run checks it at each
-    /// phase boundary and stops with [`ModelError::DeadlineExceeded`] once
-    /// it trips, before the phase's effects are applied.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Phase-boundary cancellation checkpoint (no-op without a token).
-    fn check_cancel(&self, phase: usize) -> Result<()> {
-        match &self.cancel {
-            Some(token) => token.check(phase),
-            None => Ok(()),
-        }
-    }
-
-    /// Makes every subsequent [`QsmMachine::run`] record an [`ExecTrace`]
-    /// into [`RunResult::trace`] (bounded by the trace phase cap). This
-    /// exposes traces for algorithm entry points that call `run` internally
-    /// (the analyzer's lint pass relies on it) without changing their
-    /// signatures.
-    pub fn with_tracing(mut self) -> Self {
-        self.opts.record_trace = true;
-        self
-    }
-
-    /// Replaces the execution options wholesale.
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Selects the request-routing strategy (dense fast path by default).
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.opts.routing = routing;
-        self
-    }
-
-    /// Routes requests through the original map-based reference path
-    /// (shorthand for [`QsmMachine::with_routing`] with
-    /// [`Routing::Reference`]); used by the differential suite and the
-    /// hot-path benchmarks.
-    pub fn with_reference_routing(self) -> Self {
-        self.with_routing(Routing::Reference)
-    }
-
-    /// Sets the maximum number of phases a recorded trace retains.
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.opts.trace_phase_cap = cap;
-        self
-    }
-
-    /// Folds the run's cost ledger into running aggregates instead of
-    /// retaining per-phase records (see
-    /// [`CostLedger::streaming`](crate::cost::CostLedger::streaming)):
-    /// aggregate accessors are identical, `phases()` stays empty, and the
-    /// ledger footprint is O(1) in phase count. The million-scale sweeps
-    /// run with this on.
-    pub fn with_streaming_ledger(mut self) -> Self {
-        self.opts.streaming_ledger = true;
-        self
-    }
-
-    /// The execution options currently in force.
-    pub fn options(&self) -> ExecOptions {
-        self.opts
     }
 
     /// The RNG seed used for arbitrary-write arbitration.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.model.seed
     }
 
     /// The shared-memory address limit.
     pub fn mem_limit(&self) -> usize {
-        self.mem_limit
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// The runaway-protection phase limit.
-    pub fn max_phases(&self) -> usize {
-        self.max_phases
+        self.model.mem_limit
     }
 
     /// The gap parameter `g`.
     pub fn g(&self) -> u64 {
-        self.g
+        self.model.g
     }
 
     /// The cost flavour of this machine.
     pub fn flavor(&self) -> QsmFlavor {
-        self.flavor
+        self.model.flavor
     }
 
     /// Phase cost under this machine's rule (Section 2.1).
     pub fn phase_cost(&self, m_op: u64, m_rw: u64, kappa: u64) -> u64 {
-        let m_rw = m_rw.max(1);
-        let kappa = kappa.max(1);
-        match self.flavor {
-            QsmFlavor::Qsm | QsmFlavor::QsmUnitConcurrentReads => {
-                m_op.max(self.g * m_rw).max(kappa)
-            }
-            QsmFlavor::SQsm => m_op.max(self.g * m_rw).max(self.g * kappa),
-            QsmFlavor::QsmGd(d) => m_op.max(self.g * m_rw).max(d * kappa),
+        let (g, m_rw, kappa) = (self.model.g, m_rw.max(1), kappa.max(1));
+        match self.model.flavor {
+            QsmFlavor::Qsm | QsmFlavor::QsmUnitConcurrentReads => m_op.max(g * m_rw).max(kappa),
+            QsmFlavor::SQsm => m_op.max(g * m_rw).max(g * kappa),
+            QsmFlavor::QsmGd(d) => m_op.max(g * m_rw).max(d * kappa),
         }
     }
 
@@ -326,9 +217,10 @@ impl QsmMachine {
         input: &[Word],
         want_trace: bool,
     ) -> Result<RunResult> {
-        match self.opts.routing {
-            Routing::Dense => self.execute_dense(program, input, want_trace),
-            Routing::Reference => self.execute_reference(program, input, want_trace),
+        if self.opts.reference {
+            self.execute_reference(program, input, want_trace)
+        } else {
+            self.execute_dense(program, input, want_trace)
         }
     }
 
@@ -348,15 +240,12 @@ impl QsmMachine {
                 "program declares zero processors".into(),
             ));
         }
-        let mut memory = Memory::with_limit(self.mem_limit);
+        let mut memory = Memory::with_limit(self.model.mem_limit);
         memory.load(0, input)?;
 
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.model.seed);
         let mut ledger = self.opts.new_ledger();
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
-            i.effective_phase_limit(self.max_phases)
-        });
+        let (mut injector, phase_limit) = self.opts.start_run();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
         let mut active: Vec<bool> = vec![true; n_procs];
@@ -376,10 +265,7 @@ impl QsmMachine {
 
         let mut phase_no = 0usize;
         while active.iter().any(|&a| a) {
-            if phase_no >= phase_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-            }
-            self.check_cancel(phase_no)?;
+            self.opts.enter_phase(phase_no, phase_limit)?;
             read_count.clear();
             writes_by_addr.clear();
 
@@ -501,7 +387,7 @@ impl QsmMachine {
             } else {
                 1
             };
-            let kappa = match self.flavor {
+            let kappa = match self.model.flavor {
                 // Unit-time concurrent reads: only write contention queues.
                 QsmFlavor::QsmUnitConcurrentReads => write_contention,
                 _ => kappa,
@@ -551,15 +437,12 @@ impl QsmMachine {
         let cap = self.opts.trace_phase_cap;
         let n_procs = program.num_procs();
         let mut live = LiveSet::<Word>::new(n_procs)?;
-        let mut memory = Memory::with_limit(self.mem_limit);
+        let mut memory = Memory::with_limit(self.model.mem_limit);
         memory.load(0, input)?;
 
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.model.seed);
         let mut ledger = self.opts.new_ledger();
-        let mut injector = self.faults.as_ref().map(FaultInjector::new);
-        let phase_limit = injector.as_ref().map_or(self.max_phases, |i| {
-            i.effective_phase_limit(self.max_phases)
-        });
+        let (mut injector, phase_limit) = self.opts.start_run();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
 
@@ -575,10 +458,7 @@ impl QsmMachine {
 
         let mut phase_no = 0usize;
         while !live.is_empty() {
-            if phase_no >= phase_limit {
-                return Err(ModelError::PhaseLimitExceeded { limit: phase_limit });
-            }
-            self.check_cancel(phase_no)?;
+            self.opts.enter_phase(phase_no, phase_limit)?;
             read_table.begin_phase();
             writes.begin_phase();
             traced_reads.clear();
@@ -671,7 +551,7 @@ impl QsmMachine {
             } else {
                 1
             };
-            let kappa = match self.flavor {
+            let kappa = match self.model.flavor {
                 QsmFlavor::QsmUnitConcurrentReads => write_contention,
                 _ => kappa,
             };

@@ -1,7 +1,7 @@
 //! Differential proof that the dense fast paths are the reference semantics.
 //!
-//! Every machine runs each program twice — once with [`Routing::Dense`]
-//! (the default) and once with [`Routing::Reference`] (the original
+//! Every machine runs each program twice — once on the default dense
+//! engines and once with `with_reference_routing()` (the original
 //! map-based engines) — and the full run records must match bit for bit:
 //! committed memory, per-phase [`parbounds_models::CostLedger`]s,
 //! execution traces (including truncation metadata), and, under a seeded
@@ -22,9 +22,7 @@ use parbounds_algo::parity::parity_pattern_helper;
 use parbounds_algo::prefix::prefix_in_rounds;
 use parbounds_algo::reduce::{parity_read_tree, tree_reduce};
 use parbounds_algo::util::ReduceOp;
-use parbounds_models::{
-    BspMachine, FaultPlan, FnProgram, GsmMachine, QsmMachine, Routing, Status, Word,
-};
+use parbounds_models::{BspMachine, FaultPlan, FnProgram, GsmMachine, QsmMachine, Status, Word};
 
 fn bits(n: usize, stride: usize) -> Vec<Word> {
     (0..n).map(|i| Word::from(i % stride == 0)).collect()
@@ -38,7 +36,7 @@ fn qsm_equiv<T>(
     f: impl Fn(&QsmMachine) -> parbounds_models::Result<T>,
     run_of: impl Fn(&T) -> &parbounds_models::RunResult,
 ) {
-    let dense = f(&machine.clone().with_routing(Routing::Dense));
+    let dense = f(&machine);
     let reference = f(&machine.with_reference_routing());
     match (&dense, &reference) {
         (Ok(d), Ok(r)) => {
@@ -296,6 +294,119 @@ fn gsm_fault_plans_dense_match_reference() {
     }
 }
 
+/// Requests far past the address limit. Pids 0 and 1 read `far` in
+/// phase 0 and copy what they saw to cells 10 and 11 in phase 1; pid 2
+/// writes cell 3, or `far` in phase 1 (`mode` 1) or in phase 0, against
+/// the reads (`mode` 2). The dense lanes must count the far cell without
+/// sizing anything by its address and answer as the reference engines do.
+fn far_program(far: usize, mode: u8) -> impl parbounds_models::Program<Proc = ()> {
+    FnProgram::new(
+        3,
+        |_pid| (),
+        move |pid, _, env: &mut parbounds_models::PhaseEnv<'_>| match (pid, env.phase()) {
+            (0 | 1, 0) => {
+                env.read(far);
+                Status::Active
+            }
+            (0 | 1, _) => {
+                env.write(10 + pid, env.value(far).unwrap_or(-1));
+                Status::Done
+            }
+            (_, 0) => {
+                env.write(if mode == 2 { far } else { 3 }, 9);
+                Status::Active
+            }
+            _ => {
+                env.write(if mode == 1 { far } else { 3 }, 9);
+                Status::Done
+            }
+        },
+    )
+}
+
+/// [`far_program`] on the GSM, where a far read delivers an empty cell.
+fn far_gsm_program(far: usize, mode: u8) -> impl parbounds_models::GsmProgram<Proc = ()> {
+    parbounds_models::GsmFnProgram::new(
+        3,
+        |_pid| (),
+        move |pid, _, env: &mut parbounds_models::GsmEnv<'_>| match (pid, env.phase()) {
+            (0 | 1, 0) => {
+                env.read(far);
+                Status::Active
+            }
+            (0 | 1, _) => {
+                env.write(10 + pid, env.contents(far).map_or(-1, |c| c.len() as Word));
+                Status::Done
+            }
+            (_, 0) => {
+                env.write(if mode == 2 { far } else { 3 }, 9);
+                Status::Active
+            }
+            _ => {
+                env.write(if mode == 1 { far } else { 3 }, 9);
+                Status::Done
+            }
+        },
+    )
+}
+
+#[test]
+fn far_addresses_dense_match_reference() {
+    use parbounds_models::{ModelError, DEFAULT_MEM_LIMIT};
+    for far in [1usize << 40, 1 << 50, usize::MAX] {
+        for mode in 0..3u8 {
+            let want = match mode {
+                0 => None,
+                1 => Some(ModelError::MemoryLimitExceeded {
+                    addr: far,
+                    limit: DEFAULT_MEM_LIMIT,
+                }),
+                _ => Some(ModelError::ReadWriteConflict {
+                    addr: far,
+                    phase: 0,
+                }),
+            };
+            let prog = far_program(far, mode);
+            let got = QsmMachine::qsm(2).run(&prog, &[]);
+            assert_eq!(
+                got.as_ref().err(),
+                want.as_ref(),
+                "QSM far={far} mode={mode}"
+            );
+            if let Ok(run) = &got {
+                assert_eq!(run.memory.slice(10, 2), vec![0, 0], "a far read sees 0");
+                assert_eq!(run.ledger.phases()[0].kappa, 2, "far reads queue");
+            }
+            qsm_equiv(
+                QsmMachine::qsm(2).with_tracing(),
+                &format!("far={far} mode={mode}"),
+                move |m| m.run(&prog, &[]),
+                |r| r,
+            );
+
+            let prog = far_gsm_program(far, mode);
+            let machine = GsmMachine::new(1, 1, 1).with_tracing();
+            let dense = machine.run(&prog, &[]);
+            let reference = machine.with_reference_routing().run(&prog, &[]);
+            assert_eq!(
+                dense.as_ref().err(),
+                want.as_ref(),
+                "GSM far={far} mode={mode}"
+            );
+            match (&dense, &reference) {
+                (Ok(d), Ok(r)) => {
+                    assert_eq!(d.memory.get(10), &[0], "a far read sees an empty cell");
+                    assert_eq!(d.ledger, r.ledger, "GSM ledger");
+                    assert_eq!(d.memory, r.memory, "GSM memory");
+                    assert_eq!(d.trace, r.trace, "GSM trace");
+                }
+                (Err(de), Err(re)) => assert_eq!(de, re),
+                _ => panic!("divergent GSM far-address outcomes"),
+            }
+        }
+    }
+}
+
 #[test]
 fn bsp_families_pooled_match_reference() {
     for p in [1usize, 4, 7] {
@@ -436,7 +547,7 @@ proptest! {
             QsmMachine::sqsm(g),
             QsmMachine::qsm_unit_cr(g).with_trace_cap(2).with_tracing(),
         ] {
-            let dense = machine.clone().with_routing(Routing::Dense).run(&prog, &input);
+            let dense = machine.run(&prog, &input);
             let reference = machine.with_reference_routing().run(&prog, &input);
             match (&dense, &reference) {
                 (Ok(d), Ok(r)) => {

@@ -135,7 +135,7 @@ fn runaway_programs_hit_phase_limits_everywhere() {
     assert!(matches!(
         BspMachine::new(2, 1, 1)
             .unwrap()
-            .with_max_steps(7)
+            .with_max_phases(7)
             .run(&bsp, &[]),
         Err(ModelError::PhaseLimitExceeded { limit: 7 })
     ));

@@ -16,7 +16,10 @@ const DEFAULT_LIMIT: usize = 1 << 20;
 fn default_phase_limits_are_finite_on_all_four_engines() {
     assert_eq!(QsmMachine::qsm(4).max_phases(), DEFAULT_LIMIT);
     assert_eq!(QsmMachine::sqsm(4).max_phases(), DEFAULT_LIMIT);
-    assert_eq!(BspMachine::new(4, 2, 4).unwrap().max_steps(), DEFAULT_LIMIT);
+    assert_eq!(
+        BspMachine::new(4, 2, 4).unwrap().max_phases(),
+        DEFAULT_LIMIT
+    );
     assert_eq!(GsmMachine::new(2, 2, 4).max_phases(), DEFAULT_LIMIT);
 }
 
@@ -55,7 +58,7 @@ fn infinite_loop_on_bsp_returns_phase_limit_exceeded() {
         |_pid, _local: &[Word]| (),
         |_pid, _s: &mut (), _ctx| Status::Active,
     );
-    let machine = BspMachine::new(4, 2, 4).unwrap().with_max_steps(64);
+    let machine = BspMachine::new(4, 2, 4).unwrap().with_max_phases(64);
     let err = machine.run(&prog, &[1, 2, 3, 4]).unwrap_err();
     assert!(
         matches!(err, ModelError::PhaseLimitExceeded { limit: 64 }),

@@ -520,6 +520,48 @@ mod tests {
         assert_eq!(oracle.analyses_performed(), 1);
     }
 
+    /// Inline plans whose requests reach far past the address limit get
+    /// their typed answers within a second: a one-entry scatter into cell
+    /// 2^50 is a model-rule error, and a compile-ineligible plan (two
+    /// writers racing on cell 0) that also reads cell `usize::MAX` runs.
+    #[test]
+    fn far_address_plans_get_typed_answers_promptly() {
+        use crate::wire::ErrorCode;
+        use parbounds_ir::{scatter_gather, PlanBody, ProcPhase};
+        use std::time::Instant;
+
+        let model = ModelKind::Qsm { g: 2 };
+        let far_write = scatter_gather(&[0], &[1 << 50], model);
+        let mut far_read = dart_round(&[(0, ValueRule::Const(1)), (0, ValueRule::Const(2))], model);
+        far_read.procs = 3;
+        let PlanBody::Shared(phases) = &mut far_read.body else {
+            unreachable!("dart rounds are shared-memory plans")
+        };
+        phases[0].procs.push(ProcPhase::idle(2).read(usize::MAX));
+        phases[0].finish.push(2);
+
+        let oracle = Oracle::new(OracleConfig::default());
+        for (plan, runs) in [(far_write, false), (far_read, true)] {
+            let req = Request {
+                id: 1,
+                tenant: "hostile".to_string(),
+                kind: QueryKind::Run,
+                deadline_ms: None,
+                trip_at_phase: None,
+                plan: PlanSource::Inline(plan),
+                input: None,
+            };
+            let begun = Instant::now();
+            let resp = oracle.handle(&req);
+            assert!(begun.elapsed() < Duration::from_secs(1), "{resp:?}");
+            match resp.result {
+                Ok(Answer::Run { .. }) if runs => {}
+                Err(e) if !runs && e.code == ErrorCode::ModelRule => {}
+                other => panic!("unexpected answer: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn compiled_cache_is_bounded_fifo() {
         let cache = CompiledCache::new(2);

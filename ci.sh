@@ -10,7 +10,7 @@ cargo test -q
 # prediction, and the table1 golden file.
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo fmt --check
-cargo clippy -- -D warnings
+cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 # Model-conformance gate: every Section 8 family must come out of the

@@ -445,8 +445,8 @@ fn bsp_p(n: usize) -> usize {
 fn run_scatter(machine: QsmMachine, engine: &'static str, n: usize, reps: u32) -> HotPoint {
     let prog = scatter_program(n);
     let input: Vec<Word> = (0..n as Word).collect();
-    let dense = machine.clone().with_mem_limit(2 * n + 16);
-    let reference = machine.with_reference_routing().with_mem_limit(2 * n + 16);
+    let dense = machine.clone();
+    let reference = machine.with_reference_routing();
     let ((ds, dr), (rs, rr)) = best_of_pair(
         reps,
         || dense.run(&prog, &input),

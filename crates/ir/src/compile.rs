@@ -43,7 +43,7 @@ use crate::plan::{
 };
 use parbounds_models::{
     Addr, BspMachine, CancelToken, Memory, ModelError, PhaseCost, QsmFlavor, QsmMachine, Result,
-    Word,
+    Word, DEFAULT_MEM_LIMIT,
 };
 
 /// The result of [`compile_plan`]: either a compiled schedule or a precise
@@ -627,9 +627,9 @@ fn compile_msg(plan: &PhasePlan) -> Result<CompileOutcome> {
 /// Runs a compiled shared-memory schedule on `machine`, bit-identical to
 /// [`run_shared_batch`] on the plan it was compiled from. Configurations
 /// the straight-line loop does not replicate — fault plans, trace
-/// recording, memory limits the plan's footprint could trip — fall back
-/// to the checked interpreter (which is why `plan` is passed alongside its
-/// compiled form).
+/// recording, a footprint that could trip [`DEFAULT_MEM_LIMIT`] — fall
+/// back to the checked interpreter (which is why `plan` is passed alongside
+/// its compiled form).
 pub fn run_compiled_batch(
     plan: &PhasePlan,
     compiled: &CompiledPlan,
@@ -642,10 +642,9 @@ pub fn run_compiled_batch(
             plan.family
         )));
     };
-    if machine.fault_plan().is_some()
-        || machine.options().record_trace
-        || input.len() > machine.mem_limit()
-        || cs.max_write_addr.is_some_and(|a| a >= machine.mem_limit())
+    if machine.options().instrumented()
+        || input.len() > DEFAULT_MEM_LIMIT
+        || cs.max_write_addr.is_some_and(|a| a >= DEFAULT_MEM_LIMIT)
     {
         return run_shared_batch(plan, machine, input);
     }
@@ -857,7 +856,7 @@ pub fn run_compiled_msg_batch(
             plan.family
         )));
     };
-    if machine.fault_plan().is_some() || machine.options().record_trace || machine.p() != cm.procs {
+    if machine.options().instrumented() || machine.p() != cm.procs {
         return run_msg_batch(plan, machine, input);
     }
     let limit = machine.max_phases();

@@ -16,7 +16,7 @@ use crate::plan::{apply_update, Guard, InitRule, ModelKind, OutputDecl, PhasePla
 use parbounds_models::exec::{ContentionTable, WriteRouter};
 use parbounds_models::{
     Addr, BspMachine, BspProgram, CancelToken, CostLedger, Memory, ModelError, Msg, PhaseCost,
-    PhaseEnv, Program, QsmFlavor, QsmMachine, Result, Status, Superstep, Word,
+    PhaseEnv, Program, QsmFlavor, QsmMachine, Result, Status, Superstep, Word, DEFAULT_MEM_LIMIT,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -306,9 +306,10 @@ pub fn execute_plan_reference(plan: &PhasePlan, input: &[Word]) -> Result<PlanRu
 /// differential suite in `tests/batch_equiv.rs` enforces this against
 /// [`execute_plan_reference`].
 ///
-/// Configurations the batch loop does not replicate (fault plans, trace
-/// recording) transparently fall back to the closure-dispatch path, so the
-/// guarantee holds for every machine.
+/// Instrumented machines (fault plans, trace recording; see
+/// [`ExecOptions::instrumented`](parbounds_models::ExecOptions::instrumented))
+/// transparently fall back to the closure-dispatch path, which runs them on
+/// the reference engine, so the guarantee holds for every machine.
 pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) -> Result<PlanRun> {
     plan.validate()?;
     let PlanBody::Shared(phases) = &plan.body else {
@@ -320,7 +321,7 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
     let OutputDecl::Region { base, len } = plan.output else {
         unreachable!("validate() ties shared plans to Region outputs");
     };
-    if machine.fault_plan().is_some() || machine.options().record_trace {
+    if machine.options().instrumented() {
         let program = IrProgram::new(plan)?;
         let result = machine.run(&program, input)?;
         return Ok(PlanRun {
@@ -338,7 +339,7 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
         return Err(ModelError::PhaseLimitExceeded { limit });
     }
 
-    let mut memory = Memory::with_limit(machine.mem_limit());
+    let mut memory = Memory::with_limit(DEFAULT_MEM_LIMIT);
     memory.load(0, input)?;
     let mut rng = ChaCha8Rng::seed_from_u64(machine.seed());
     let mut ledger = machine.options().new_ledger();
@@ -474,8 +475,9 @@ pub fn run_shared_batch(plan: &PhasePlan, machine: &QsmMachine, input: &[Word]) 
 /// inbox ordering, same errors. The differential suite in
 /// `tests/batch_equiv.rs` enforces this against [`execute_plan_reference`].
 ///
-/// Configurations the batch loop does not replicate (fault plans, trace
-/// recording) transparently fall back to the closure-dispatch path.
+/// Instrumented machines (fault plans, trace recording) transparently fall
+/// back to the closure-dispatch path, which runs them on the reference
+/// engine.
 pub fn run_msg_batch(plan: &PhasePlan, machine: &BspMachine, input: &[Word]) -> Result<PlanRun> {
     plan.validate()?;
     let PlanBody::Msg { init, steps } = &plan.body else {
@@ -484,7 +486,7 @@ pub fn run_msg_batch(plan: &PhasePlan, machine: &BspMachine, input: &[Word]) -> 
             plan.family
         )));
     };
-    if machine.fault_plan().is_some() || machine.options().record_trace {
+    if machine.options().instrumented() {
         let program = IrBspProgram::new(plan)?;
         let result = machine.run(&program, input)?;
         return Ok(PlanRun {

@@ -284,21 +284,23 @@ impl Machine<Bsp> {
         Ok((result, trace))
     }
 
+    /// Instrumented runs (a fault plan or a trace) go to the reference
+    /// engine, the only one that injects faults and records traces.
     fn execute<P: BspProgram>(
         &self,
         program: &P,
         input: &[Word],
         want_trace: bool,
     ) -> Result<BspRunResult<P::Proc>> {
-        if self.opts.reference {
+        if self.opts.reference || want_trace || self.opts.instrumented() {
             self.execute_reference(program, input, want_trace)
         } else {
-            self.execute_pooled(program, input, want_trace)
+            self.execute_pooled(program, input)
         }
     }
 
-    /// The original execution path, kept as the executable specification
-    /// the pooled fast path is differentially tested against.
+    /// The original execution path: the executable specification the
+    /// pooled fast path is tested against, and the instrumented-run engine.
     fn execute_reference<P: BspProgram>(
         &self,
         program: &P,
@@ -454,16 +456,14 @@ impl Machine<Bsp> {
     }
 
     /// The pooled fast path: inbox double-buffering and outbox arena reuse
-    /// make steady-state supersteps allocation-free. Observationally
-    /// identical to [`BspMachine::execute_reference`].
+    /// make steady-state supersteps allocation-free. It runs uninstrumented
+    /// programs only, and on them is observationally identical to
+    /// [`BspMachine::execute_reference`].
     fn execute_pooled<P: BspProgram>(
         &self,
         program: &P,
         input: &[Word],
-        want_trace: bool,
     ) -> Result<BspRunResult<P::Proc>> {
-        let cap = self.opts.trace_phase_cap;
-        let mut trace = want_trace.then(BspTrace::default);
         let parts = self.partition(input);
         let mut states: Vec<P::Proc> = parts
             .iter()
@@ -476,68 +476,34 @@ impl Machine<Bsp> {
         // `inboxes` at the end of each step so capacities are recycled.
         let mut next_inboxes: Vec<Vec<Msg>> = vec![Vec::new(); self.model.p];
         let mut ledger = self.opts.new_ledger();
-        let (mut injector, step_limit) = self.opts.start_run();
-        let mut local_step: Vec<usize> = vec![0; self.model.p];
 
         // Per-run scratch, allocated once and reused across supersteps.
         let mut received: Vec<u64> = vec![0; self.model.p];
-        let mut stalled: Vec<usize> = Vec::new();
         let mut outbox_buf: Vec<(usize, Msg)> = Vec::new();
 
         let mut step_no = 0usize;
         while active.iter().any(|&a| a) {
-            self.opts.enter_phase(step_no, step_limit)?;
+            self.opts.enter_phase(step_no, self.opts.max_phases)?;
             for ib in next_inboxes.iter_mut() {
                 ib.clear();
             }
             received.fill(0);
-            stalled.clear();
             let mut w: u64 = 0;
             let mut max_sent: u64 = 0;
-            let mut step_trace =
-                trace
-                    .as_ref()
-                    .filter(|t| t.steps.len() < cap)
-                    .map(|_| BspStepTrace {
-                        sent: vec![Vec::new(); self.model.p],
-                        received: vec![Vec::new(); self.model.p],
-                        executed: vec![false; self.model.p],
-                        finished: vec![false; self.model.p],
-                    });
 
             for pid in 0..self.model.p {
                 if !active[pid] {
                     continue;
                 }
-                if let Some(inj) = injector.as_mut() {
-                    if inj.crash_at(pid, step_no) {
-                        return Err(ModelError::FaultAborted {
-                            phase: step_no,
-                            reason: format!("component {pid} crashed"),
-                        });
-                    }
-                    if inj.stall_at(pid, step_no) {
-                        stalled.push(pid);
-                        continue;
-                    }
-                }
                 let inbox = std::mem::take(&mut inboxes[pid]);
-                let mut ctx = Superstep::with_buffer(
-                    local_step[pid],
-                    &inbox,
-                    std::mem::take(&mut outbox_buf),
-                );
+                let mut ctx =
+                    Superstep::with_buffer(step_no, &inbox, std::mem::take(&mut outbox_buf));
                 let status = program.superstep(pid, &mut states[pid], &mut ctx);
-                local_step[pid] += 1;
 
                 let sent = ctx.outbox.len() as u64;
                 let recv = inbox.len() as u64;
                 w = w.max(ctx.ops + sent + recv);
                 max_sent = max_sent.max(sent);
-                if let Some(st) = step_trace.as_mut() {
-                    st.executed[pid] = true;
-                    st.received[pid] = inbox.clone();
-                }
 
                 let mut outbox = ctx.outbox;
                 for (dest, mut msg) in outbox.drain(..) {
@@ -548,32 +514,12 @@ impl Machine<Bsp> {
                         });
                     }
                     msg.src = pid;
-                    if let Some(st) = step_trace.as_mut() {
-                        st.sent[pid].push((dest, msg));
-                    }
-                    let copies = match injector.as_mut() {
-                        Some(inj) => {
-                            if inj.drop_message() {
-                                0
-                            } else if inj.duplicate_message() {
-                                2
-                            } else {
-                                1
-                            }
-                        }
-                        None => 1,
-                    };
-                    for _ in 0..copies {
-                        received[dest] += 1;
-                        next_inboxes[dest].push(msg);
-                    }
+                    received[dest] += 1;
+                    next_inboxes[dest].push(msg);
                 }
                 outbox_buf = outbox;
                 if status == Status::Done {
                     active[pid] = false;
-                    if let Some(st) = step_trace.as_mut() {
-                        st.finished[pid] = true;
-                    }
                 }
                 // Recycle the consumed inbox: after the end-of-step swap it
                 // becomes a delivery buffer for a later superstep.
@@ -582,10 +528,6 @@ impl Machine<Bsp> {
                 inboxes[pid] = ib;
             }
 
-            for &pid in &stalled {
-                let retained = std::mem::take(&mut inboxes[pid]);
-                next_inboxes[pid].splice(0..0, retained);
-            }
             for ib in next_inboxes.iter_mut() {
                 ib.sort_unstable_by_key(|m| (m.src, m.tag));
             }
@@ -598,16 +540,6 @@ impl Machine<Bsp> {
                 kappa: 1,
                 cost,
             });
-            if let Some(inj) = injector.as_ref() {
-                inj.check_cost(ledger.total_time())?;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.total_steps += 1;
-                match step_trace {
-                    Some(st) => t.steps.push(st),
-                    None => t.truncated = true,
-                }
-            }
             std::mem::swap(&mut inboxes, &mut next_inboxes);
             step_no += 1;
         }
@@ -615,8 +547,8 @@ impl Machine<Bsp> {
         Ok(BspRunResult {
             states,
             ledger,
-            faults: injector.map(FaultInjector::into_log),
-            trace,
+            faults: None,
+            trace: None,
         })
     }
 }

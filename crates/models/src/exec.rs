@@ -11,12 +11,13 @@
 //! page at all.
 //!
 //! The original `HashMap`/`BTreeMap` engines stay as the executable
-//! specification, reached only through
-//! [`Machine::with_reference_routing`](crate::Machine::with_reference_routing).
-//! Both are **bit-identical** observationally: same
+//! specification, reached through
+//! [`Machine::with_reference_routing`](crate::Machine::with_reference_routing),
+//! and are the only engines that inject faults or record traces: every
+//! [instrumented](ExecOptions::instrumented) run goes to them. On
+//! uninstrumented runs both are **bit-identical** observationally: same
 //! [`CostLedger`](crate::cost::CostLedger), same arbitration winners (RNG
-//! draws and [`FaultInjector`] choice points happen in the same order),
-//! same fault behaviour, same committed memory.
+//! draws happen in the same order), same committed memory, same errors.
 //! The differential suite in `models/tests/fastpath_equiv.rs` enforces this.
 //!
 //! The dense QSM and GSM engines share one collect stage, `LiveSet`: the
@@ -120,8 +121,17 @@ impl ExecOptions {
         }
     }
 
-    /// Every engine's per-run set-up: the fault plan's injector, if any, and
-    /// the phase limit, `max_phases` tightened by the plan's phase budget.
+    /// Whether a run under this policy is instrumented: a fault plan is
+    /// attached or a trace is recorded. Only the reference engines inject
+    /// faults and record traces, so the machines' `execute` dispatchers and
+    /// the `ir` batch and compiled executors send these runs to them.
+    pub fn instrumented(&self) -> bool {
+        self.faults.is_some() || self.record_trace
+    }
+
+    /// A reference engine's per-run set-up: the fault plan's injector, if
+    /// any, and the phase limit, `max_phases` tightened by the plan's phase
+    /// budget.
     pub(crate) fn start_run(&self) -> (Option<FaultInjector>, usize) {
         let injector = self.faults.as_ref().map(FaultInjector::new);
         let limit = injector.as_ref().map_or(self.max_phases, |i| {
@@ -513,10 +523,7 @@ impl WriteRouter {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     pid: u32,
-    /// Phases this processor has been stalled so far: its own phase
-    /// counter is the global phase minus this lag.
-    lag: u32,
-    /// Deliveries it holds in the arena for its next executed phase.
+    /// Deliveries it holds in the arena for its next phase.
     held: u32,
 }
 
@@ -525,21 +532,18 @@ struct Slot {
 ///
 /// Live processors are kept in pid order and compacted in place each
 /// phase, so the phase loop visits only them, in the order the reference
-/// engines visit active processors: write buckets, RNG draws and
-/// fault-injector calls happen in the same order. A slot's deliveries lie
-/// back to back in one flat arena, slot after slot; the arena is
-/// double-buffered across phases. `T` is the delivered value: a [`Word`]
-/// on the QSM, a cell's whole contents on the GSM.
+/// engines visit active processors: write buckets and RNG draws happen in
+/// the same order. A slot's deliveries lie back to back in one flat arena,
+/// slot after slot; the arena is double-buffered across phases. `T` is the
+/// delivered value: a [`Word`] on the QSM, a cell's whole contents on the
+/// GSM.
 #[derive(Debug)]
 pub(crate) struct LiveSet<T> {
     slots: Vec<Slot>,
     /// Deliveries consumed this phase, in slot order.
     arena: Vec<(Addr, T)>,
-    /// Deliveries for the next phase, in slot order: fresh reservations
-    /// plus the slices carried over from stalled processors.
+    /// Deliveries for the next phase, in slot order.
     next: Vec<(Addr, T)>,
-    /// Ranges of `next` carried this phase; they keep their values.
-    carried: Vec<(usize, usize)>,
 }
 
 /// Reserves next-phase delivery slots for one processor's reads.
@@ -570,16 +574,9 @@ impl<T: Default> LiveSet<T> {
             ))
         })?;
         Ok(LiveSet {
-            slots: (0..n)
-                .map(|pid| Slot {
-                    pid,
-                    lag: 0,
-                    held: 0,
-                })
-                .collect(),
+            slots: (0..n).map(|pid| Slot { pid, held: 0 }).collect(),
             arena: Vec::new(),
             next: Vec::new(),
-            carried: Vec::new(),
         })
     }
 
@@ -588,56 +585,25 @@ impl<T: Default> LiveSet<T> {
         self.slots.is_empty()
     }
 
-    /// Runs one phase over the live processors in pid order. A processor
-    /// the injector crashes aborts the run; one it stalls skips the phase
-    /// and its deliveries are carried, unchanged, to its next executed
-    /// phase. Every other processor runs `exec(pid, local_phase,
-    /// delivered, fresh)`, which reserves slots for the processor's reads
-    /// through `fresh` and returns its status; a finished processor leaves
-    /// the set and its reservations are dropped.
-    pub(crate) fn collect<F>(
-        &mut self,
-        phase: usize,
-        mut injector: Option<&mut FaultInjector>,
-        mut exec: F,
-    ) -> Result<()>
+    /// Runs phase `phase` over the live processors in pid order: each runs
+    /// `exec(pid, delivered, fresh)`, which reserves slots for the
+    /// processor's reads through `fresh` and returns its status; a finished
+    /// processor leaves the set and its reservations are dropped.
+    pub(crate) fn collect<F>(&mut self, phase: usize, mut exec: F) -> Result<()>
     where
-        F: FnMut(usize, usize, &[(Addr, T)], &mut Fresh<'_, T>) -> Status,
+        F: FnMut(usize, &[(Addr, T)], &mut Fresh<'_, T>) -> Status,
     {
         std::mem::swap(&mut self.arena, &mut self.next);
-        self.carried.clear();
         let mut start = 0;
         let mut kept = 0;
         for i in 0..self.slots.len() {
             let mut slot = self.slots[i];
             let pid = slot.pid as usize;
             let end = start + slot.held as usize;
-            let delivered = &mut self.arena[start..end];
+            let delivered = &self.arena[start..end];
             start = end;
             let from = self.next.len();
-            if let Some(inj) = injector.as_deref_mut() {
-                if inj.crash_at(pid, phase) {
-                    return Err(ModelError::FaultAborted {
-                        phase,
-                        reason: format!("processor {pid} crashed"),
-                    });
-                }
-                if inj.stall_at(pid, phase) {
-                    self.next.extend(delivered.iter_mut().map(std::mem::take));
-                    self.carried.push((from, self.next.len()));
-                    slot.lag = slot.lag.checked_add(1).ok_or_else(|| {
-                        ModelError::BadConfig(format!(
-                            "processor {pid} stalled more than {} times",
-                            u32::MAX
-                        ))
-                    })?;
-                    self.slots[kept] = slot;
-                    kept += 1;
-                    continue;
-                }
-            }
-            let local_phase = phase - slot.lag as usize;
-            let status = exec(pid, local_phase, delivered, &mut Fresh(&mut self.next));
+            let status = exec(pid, delivered, &mut Fresh(&mut self.next));
             if status == Status::Done {
                 self.next.truncate(from);
                 continue;
@@ -658,16 +624,9 @@ impl<T: Default> LiveSet<T> {
 
     /// Values the slots reserved this phase with `value(addr)`. Call it
     /// after the read/write conflict check and before writes commit, so
-    /// reads see pre-write memory; carried slices keep their values.
+    /// reads see pre-write memory.
     pub(crate) fn value_fresh(&mut self, mut value: impl FnMut(Addr) -> T) {
-        let mut from = 0;
-        for &(start, end) in &self.carried {
-            for d in &mut self.next[from..start] {
-                d.1 = value(d.0);
-            }
-            from = end;
-        }
-        for d in &mut self.next[from..] {
+        for d in &mut self.next {
             d.1 = value(d.0);
         }
     }
@@ -764,5 +723,16 @@ mod tests {
         assert_eq!(o.trace_phase_cap, DEFAULT_TRACE_PHASE_CAP);
         assert!(!o.streaming_ledger);
         assert!(!o.new_ledger().is_streaming());
+        assert!(!o.instrumented());
+        let faulted = ExecOptions {
+            faults: Some(FaultPlan::new(1)),
+            ..ExecOptions::default()
+        };
+        assert!(faulted.instrumented());
+        let traced = ExecOptions {
+            record_trace: true,
+            ..ExecOptions::default()
+        };
+        assert!(traced.instrumented());
     }
 }

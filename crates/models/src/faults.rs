@@ -29,8 +29,8 @@
 //! Plans are attached to machines with `with_faults` (on
 //! [`crate::QsmMachine`], [`crate::BspMachine`] and [`crate::GsmMachine`]),
 //! so *any* program — every Section 8 algorithm unchanged — runs under the
-//! plan; the engines report what was injected in the `faults` field of
-//! their run results.
+//! plan, on the model's reference engine, which reports what was injected
+//! in the `faults` field of the run result.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -371,21 +371,23 @@ impl Machine<Gsm> {
         Ok((result, trace))
     }
 
+    /// Instrumented runs (a fault plan or a trace) go to the reference
+    /// engine, the only one that injects faults and records traces.
     fn execute<P: GsmProgram>(
         &self,
         program: &P,
         input: &[Word],
         want_trace: bool,
     ) -> Result<GsmRunResult> {
-        if self.opts.reference {
+        if self.opts.reference || want_trace || self.opts.instrumented() {
             self.execute_reference(program, input, want_trace)
         } else {
-            self.execute_dense(program, input, want_trace)
+            self.execute_dense(program, input)
         }
     }
 
-    /// The original map-based execution path, kept as the executable
-    /// specification the dense fast path is differentially tested against.
+    /// The original map-based execution path: the executable specification
+    /// the dense fast path is tested against, and the instrumented-run engine.
     fn execute_reference<P: GsmProgram>(
         &self,
         program: &P,
@@ -549,92 +551,63 @@ impl Machine<Gsm> {
 
     /// The dense fast path: the [`LiveSet`] collect stage shared with the
     /// QSM engine, epoch-stamped contention tables and recycled request
-    /// buffers. Observationally identical to
-    /// [`GsmMachine::execute_reference`].
-    fn execute_dense<P: GsmProgram>(
-        &self,
-        program: &P,
-        input: &[Word],
-        want_trace: bool,
-    ) -> Result<GsmRunResult> {
-        let cap = self.opts.trace_phase_cap;
-        let mut trace = want_trace.then(GsmTrace::default);
+    /// buffers. It runs uninstrumented programs only, and on them is
+    /// observationally identical to [`GsmMachine::execute_reference`].
+    fn execute_dense<P: GsmProgram>(&self, program: &P, input: &[Word]) -> Result<GsmRunResult> {
         let n_procs = program.num_procs();
         let mut live = LiveSet::<CellContent>::new(n_procs)?;
         let mut memory = self.initial_memory(input);
         let mut ledger = self.opts.new_ledger();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
-        let (mut injector, phase_limit) = self.opts.start_run();
 
         // Per-run scratch, allocated once and reused across phases.
         let mut read_table = ContentionTable::default();
         let mut write_table = ContentionTable::default();
-        let mut new_writes: Vec<(usize, Addr, Word)> = Vec::new();
-        // Every read of the phase as (pid, addr), kept only when tracing.
-        let mut traced_reads: Vec<(usize, Addr)> = Vec::new();
+        let mut new_writes: Vec<(Addr, Word)> = Vec::new();
         let mut read_buf: Vec<Addr> = Vec::new();
         let mut write_buf: Vec<(Addr, Word)> = Vec::new();
 
         let mut phase_no = 0usize;
         while !live.is_empty() {
-            self.opts.enter_phase(phase_no, phase_limit)?;
+            self.opts.enter_phase(phase_no, self.opts.max_phases)?;
             read_table.begin_phase();
             write_table.begin_phase();
             new_writes.clear();
-            traced_reads.clear();
 
             let mut m_rw: u64 = 0;
             let mut any_access = false;
-            let mut phase_trace =
-                trace
-                    .as_ref()
-                    .filter(|t| t.phases.len() < cap)
-                    .map(|_| GsmPhaseTrace {
-                        reads: vec![Vec::new(); n_procs],
-                        writes: vec![Vec::new(); n_procs],
-                        big_steps: 0,
-                        finished: vec![false; n_procs],
-                    });
 
-            live.collect(
-                phase_no,
-                injector.as_mut(),
-                |pid, local_phase, delivered, fresh| {
-                    let mut env = GsmEnv::with_buffers(
-                        local_phase,
-                        delivered,
-                        std::mem::take(&mut read_buf),
-                        std::mem::take(&mut write_buf),
-                    );
-                    let status = program.phase(pid, &mut states[pid], &mut env);
-                    let (mut r_vec, mut w_vec) = (env.reads, env.writes);
-                    let r_i = r_vec.len() as u64;
-                    let w_i = w_vec.len() as u64;
-                    m_rw = m_rw.max(r_i.max(w_i));
-                    any_access |= r_i + w_i > 0;
+            live.collect(phase_no, |pid, delivered, fresh| {
+                let mut env = GsmEnv::with_buffers(
+                    phase_no,
+                    delivered,
+                    std::mem::take(&mut read_buf),
+                    std::mem::take(&mut write_buf),
+                );
+                let status = program.phase(pid, &mut states[pid], &mut env);
+                let (mut r_vec, mut w_vec) = (env.reads, env.writes);
+                let r_i = r_vec.len() as u64;
+                let w_i = w_vec.len() as u64;
+                m_rw = m_rw.max(r_i.max(w_i));
+                any_access |= r_i + w_i > 0;
 
-                    for &addr in &r_vec {
-                        read_table.incr(addr);
-                    }
-                    fresh.reserve(&r_vec);
-                    for &(addr, value) in &w_vec {
-                        write_table.incr(addr);
-                        new_writes.push((pid, addr, value));
-                    }
-                    if let Some(pt) = phase_trace.as_mut() {
-                        traced_reads.extend(r_vec.iter().map(|&addr| (pid, addr)));
-                        pt.finished[pid] = status == Status::Done;
-                    }
-                    r_vec.clear();
-                    w_vec.clear();
-                    read_buf = r_vec;
-                    write_buf = w_vec;
-                    status
-                },
-            )?;
+                for &addr in &r_vec {
+                    read_table.incr(addr);
+                }
+                fresh.reserve(&r_vec);
+                for &(addr, value) in &w_vec {
+                    write_table.incr(addr);
+                    new_writes.push((addr, value));
+                }
+                r_vec.clear();
+                w_vec.clear();
+                read_buf = r_vec;
+                write_buf = w_vec;
+                status
+            })?;
 
-            for &(_, addr, _) in &new_writes {
+            for &(addr, _) in &new_writes {
                 if read_table.contains(addr) {
                     return Err(ModelError::ReadWriteConflict {
                         addr,
@@ -645,17 +618,9 @@ impl Machine<Gsm> {
 
             // Value reads against pre-write contents.
             live.value_fresh(|addr| memory.get(addr).to_vec());
-            if let Some(pt) = phase_trace.as_mut() {
-                for &(pid, addr) in &traced_reads {
-                    pt.reads[pid].push((addr, memory.get(addr).to_vec()));
-                }
-            }
             // Strong queuing: all written information merges into the cell.
-            for &(pid, addr, value) in &new_writes {
+            for &(addr, value) in &new_writes {
                 memory.push(addr, value)?;
-                if let Some(pt) = phase_trace.as_mut() {
-                    pt.writes[pid].push((addr, value));
-                }
             }
 
             let kappa = if any_access {
@@ -673,27 +638,14 @@ impl Machine<Gsm> {
                 kappa,
                 cost,
             });
-            if let Some(inj) = injector.as_ref() {
-                inj.check_cost(ledger.total_time())?;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.total_phases += 1;
-                match phase_trace {
-                    Some(mut pt) => {
-                        pt.big_steps = b;
-                        t.phases.push(pt);
-                    }
-                    None => t.truncated = true,
-                }
-            }
             phase_no += 1;
         }
 
         Ok(GsmRunResult {
             memory,
             ledger,
-            faults: injector.map(FaultInjector::into_log),
-            trace,
+            faults: None,
+            trace: None,
         })
     }
 }

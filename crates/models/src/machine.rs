@@ -36,7 +36,8 @@ impl<M> Machine<M> {
     /// Attaches a [`FaultPlan`]: every subsequent run injects the faults
     /// that apply to its model and reports a [`FaultLog`](crate::FaultLog).
     /// (GSM cells merge all writes, so winner policies do not apply there;
-    /// only the BSP has messages to drop or duplicate.)
+    /// only the BSP has messages to drop or duplicate.) Faulted runs execute
+    /// on the model's reference engine.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.opts.faults = Some(plan);
         self
@@ -59,7 +60,8 @@ impl<M> Machine<M> {
 
     /// Makes every subsequent `run` record a trace into its result, so
     /// algorithm entry points that call `run` internally expose traces
-    /// (the analyzer's lint pass relies on it).
+    /// (the analyzer's lint pass relies on it). Traced runs execute on the
+    /// model's reference engine.
     pub fn with_tracing(mut self) -> Self {
         self.opts.record_trace = true;
         self

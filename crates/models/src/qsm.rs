@@ -105,14 +105,13 @@ pub struct PhaseTrace {
     pub finished: Vec<bool>,
 }
 
-/// The QSM family's own parameters: gap, cost flavour, arbitration seed
-/// and shared-memory address limit.
+/// The QSM family's own parameters: gap, cost flavour and arbitration
+/// seed.
 #[derive(Debug, Clone, Copy)]
 pub struct Qsm {
     g: u64,
     flavor: QsmFlavor,
     seed: u64,
-    mem_limit: usize,
 }
 
 /// A QSM-family machine: a cost rule plus execution policies.
@@ -149,7 +148,6 @@ impl Machine<Qsm> {
             g: g.max(1),
             flavor,
             seed: 0x5eed_cafe,
-            mem_limit: DEFAULT_MEM_LIMIT,
         })
     }
 
@@ -159,20 +157,9 @@ impl Machine<Qsm> {
         self
     }
 
-    /// Sets the shared-memory address limit.
-    pub fn with_mem_limit(mut self, mem_limit: usize) -> Self {
-        self.model.mem_limit = mem_limit;
-        self
-    }
-
     /// The RNG seed used for arbitrary-write arbitration.
     pub fn seed(&self) -> u64 {
         self.model.seed
-    }
-
-    /// The shared-memory address limit.
-    pub fn mem_limit(&self) -> usize {
-        self.model.mem_limit
     }
 
     /// The gap parameter `g`.
@@ -211,21 +198,23 @@ impl Machine<Qsm> {
         Ok((result, trace))
     }
 
+    /// Instrumented runs (a fault plan or a trace) go to the reference
+    /// engine, the only one that injects faults and records traces.
     fn execute<P: Program>(
         &self,
         program: &P,
         input: &[Word],
         want_trace: bool,
     ) -> Result<RunResult> {
-        if self.opts.reference {
+        if self.opts.reference || want_trace || self.opts.instrumented() {
             self.execute_reference(program, input, want_trace)
         } else {
-            self.execute_dense(program, input, want_trace)
+            self.execute_dense(program, input)
         }
     }
 
-    /// The original map-based execution path, kept as the executable
-    /// specification the dense fast path is differentially tested against.
+    /// The original map-based execution path: the executable specification
+    /// the dense fast path is tested against, and the instrumented-run engine.
     fn execute_reference<P: Program>(
         &self,
         program: &P,
@@ -240,7 +229,7 @@ impl Machine<Qsm> {
                 "program declares zero processors".into(),
             ));
         }
-        let mut memory = Memory::with_limit(self.model.mem_limit);
+        let mut memory = Memory::with_limit(DEFAULT_MEM_LIMIT);
         memory.load(0, input)?;
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.model.seed);
@@ -423,34 +412,24 @@ impl Machine<Qsm> {
 
     /// The dense fast path: a [`LiveSet`] of the running processors with
     /// their deliveries in one flat arena, epoch-stamped address-indexed
-    /// routing tables and recycled request buffers. Observationally
-    /// identical to [`QsmMachine::execute_reference`] — same ledger, same
-    /// RNG and fault-injector consumption order, same committed memory,
-    /// same errors.
-    fn execute_dense<P: Program>(
-        &self,
-        program: &P,
-        input: &[Word],
-        want_trace: bool,
-    ) -> Result<RunResult> {
-        let mut trace = want_trace.then(ExecTrace::default);
-        let cap = self.opts.trace_phase_cap;
+    /// routing tables and recycled request buffers. It runs uninstrumented
+    /// programs only, and on them is observationally identical to
+    /// [`QsmMachine::execute_reference`]: same ledger, same RNG consumption
+    /// order, same committed memory, same errors.
+    fn execute_dense<P: Program>(&self, program: &P, input: &[Word]) -> Result<RunResult> {
         let n_procs = program.num_procs();
         let mut live = LiveSet::<Word>::new(n_procs)?;
-        let mut memory = Memory::with_limit(self.model.mem_limit);
+        let mut memory = Memory::with_limit(DEFAULT_MEM_LIMIT);
         memory.load(0, input)?;
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.model.seed);
         let mut ledger = self.opts.new_ledger();
-        let (mut injector, phase_limit) = self.opts.start_run();
 
         let mut states: Vec<P::Proc> = (0..n_procs).map(|pid| program.create(pid)).collect();
 
         // Per-run scratch, allocated once and reused across phases.
         let mut read_table = ContentionTable::default();
         let mut writes = WriteRouter::default();
-        // Every read of the phase as (pid, addr), kept only when tracing.
-        let mut traced_reads: Vec<(usize, Addr)> = Vec::new();
         // Recycled PhaseEnv request buffers: steady-state phases allocate
         // nothing.
         let mut read_buf: Vec<Addr> = Vec::new();
@@ -458,62 +437,42 @@ impl Machine<Qsm> {
 
         let mut phase_no = 0usize;
         while !live.is_empty() {
-            self.opts.enter_phase(phase_no, phase_limit)?;
+            self.opts.enter_phase(phase_no, self.opts.max_phases)?;
             read_table.begin_phase();
             writes.begin_phase();
-            traced_reads.clear();
 
             let mut m_op: u64 = 0;
             let mut m_rw: u64 = 0;
             let mut any_access = false;
-            let mut phase_trace =
-                trace
-                    .as_ref()
-                    .filter(|t| t.phases.len() < cap)
-                    .map(|_| PhaseTrace {
-                        reads: vec![Vec::new(); n_procs],
-                        writes: vec![Vec::new(); n_procs],
-                        committed: Vec::new(),
-                        finished: vec![false; n_procs],
-                    });
 
-            live.collect(
-                phase_no,
-                injector.as_mut(),
-                |pid, local_phase, delivered, fresh| {
-                    let mut env = PhaseEnv::with_buffers(
-                        local_phase,
-                        delivered,
-                        std::mem::take(&mut read_buf),
-                        std::mem::take(&mut write_buf),
-                    );
-                    let status = program.phase(pid, &mut states[pid], &mut env);
-                    let (mut r_vec, mut w_vec, ops) = env.into_requests();
-                    let r_i = r_vec.len() as u64;
-                    let w_i = w_vec.len() as u64;
-                    m_op = m_op.max(ops + r_i + w_i);
-                    m_rw = m_rw.max(r_i.max(w_i));
-                    any_access |= r_i + w_i > 0;
+            live.collect(phase_no, |pid, delivered, fresh| {
+                let mut env = PhaseEnv::with_buffers(
+                    phase_no,
+                    delivered,
+                    std::mem::take(&mut read_buf),
+                    std::mem::take(&mut write_buf),
+                );
+                let status = program.phase(pid, &mut states[pid], &mut env);
+                let (mut r_vec, mut w_vec, ops) = env.into_requests();
+                let r_i = r_vec.len() as u64;
+                let w_i = w_vec.len() as u64;
+                m_op = m_op.max(ops + r_i + w_i);
+                m_rw = m_rw.max(r_i.max(w_i));
+                any_access |= r_i + w_i > 0;
 
-                    for &addr in &r_vec {
-                        read_table.incr(addr);
-                    }
-                    fresh.reserve(&r_vec);
-                    for &(addr, value) in &w_vec {
-                        writes.push(addr, value);
-                    }
-                    if let Some(pt) = phase_trace.as_mut() {
-                        traced_reads.extend(r_vec.iter().map(|&addr| (pid, addr)));
-                        pt.writes[pid].extend_from_slice(&w_vec);
-                        pt.finished[pid] = status == Status::Done;
-                    }
-                    r_vec.clear();
-                    w_vec.clear();
-                    read_buf = r_vec;
-                    write_buf = w_vec;
-                    status
-                },
-            )?;
+                for &addr in &r_vec {
+                    read_table.incr(addr);
+                }
+                fresh.reserve(&r_vec);
+                for &(addr, value) in &w_vec {
+                    writes.push(addr, value);
+                }
+                r_vec.clear();
+                w_vec.clear();
+                read_buf = r_vec;
+                write_buf = w_vec;
+                status
+            })?;
 
             // Counting-sort the writes into sorted-address groups, then
             // apply the same checks/commits as the reference path.
@@ -528,21 +487,13 @@ impl Machine<Qsm> {
             }
 
             live.value_fresh(|addr| memory.get(addr));
-            if let Some(pt) = phase_trace.as_mut() {
-                for &(pid, addr) in &traced_reads {
-                    pt.reads[pid].push((addr, memory.get(addr)));
-                }
-            }
             for (addr, values) in writes.groups() {
-                let value = match injector.as_mut() {
-                    Some(inj) => inj.pick_winner(phase_no, addr, values),
-                    None if values.len() == 1 => values[0],
-                    None => values[rng.gen_range(0..values.len())],
+                let value = if values.len() == 1 {
+                    values[0]
+                } else {
+                    values[rng.gen_range(0..values.len())]
                 };
                 memory.set(addr, value)?;
-                if let Some(pt) = phase_trace.as_mut() {
-                    pt.committed.push((addr, value));
-                }
             }
 
             let write_contention = writes.max_contention();
@@ -563,24 +514,14 @@ impl Machine<Qsm> {
                 kappa,
                 cost,
             });
-            if let Some(inj) = injector.as_ref() {
-                inj.check_cost(ledger.total_time())?;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.total_phases += 1;
-                match phase_trace {
-                    Some(pt) => t.phases.push(pt),
-                    None => t.truncated = true,
-                }
-            }
             phase_no += 1;
         }
 
         Ok(RunResult {
             memory,
             ledger,
-            faults: injector.map(FaultInjector::into_log),
-            trace,
+            faults: None,
+            trace: None,
         })
     }
 }

@@ -161,11 +161,10 @@ pub const PAGE_SHIFT: usize = 16;
 /// pays for the pages it lands on.
 pub const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 
-/// Shared-memory address limit (2^34 cells): the QSM's default
-/// ([`crate::QsmMachine::with_mem_limit`] overrides it) and the GSM's
-/// fixed limit. A write at or beyond it is a
-/// [`MemoryLimitExceeded`](crate::ModelError::MemoryLimitExceeded) error,
-/// so a far write cannot grow a page directory without bound.
+/// Shared-memory address limit (2^34 cells) of every QSM and GSM engine
+/// and of the `ir` batch and compiled executors. A write at or beyond it
+/// is a [`MemoryLimitExceeded`](crate::ModelError::MemoryLimitExceeded)
+/// error, so a far write cannot grow a page directory without bound.
 pub const DEFAULT_MEM_LIMIT: usize = 1 << 34;
 
 /// Chunked shared memory with default value 0, paged on demand.

@@ -3,13 +3,15 @@
 //! Every machine runs each program twice — once on the default dense
 //! engines and once with `with_reference_routing()` (the original
 //! map-based engines) — and the full run records must match bit for bit:
-//! committed memory, per-phase [`parbounds_models::CostLedger`]s,
-//! execution traces (including truncation metadata), and, under a seeded
-//! [`FaultPlan`], the [`parbounds_models::FaultLog`]. Programs come from
-//! the Section 8 algorithm families in `parbounds-algo` plus
-//! property-generated random request schedules, so arbitration (RNG and
-//! scripted), conflict errors, and stall/crash interleavings are all
-//! pinned.
+//! committed memory, per-phase [`parbounds_models::CostLedger`]s and
+//! errors. Programs come from the Section 8 algorithm families in
+//! `parbounds-algo` plus property-generated random request schedules, so
+//! RNG arbitration and conflict errors are pinned. The machines are
+//! untraced and carry no fault plan: an instrumented run (a
+//! [`FaultPlan`] or tracing) goes to the reference engine whatever the
+//! machine, so only uninstrumented machines put the fast engines under
+//! test. The fault-plan tests instead pin that routing, and the reference
+//! engine's stall, crash and budget semantics.
 
 use proptest::prelude::*;
 
@@ -64,7 +66,7 @@ fn or_write_tree_dense_matches_reference() {
             for k in [2usize, 4] {
                 let input = bits(n, 3);
                 qsm_equiv(
-                    flavor.clone().with_tracing(),
+                    flavor.clone(),
                     &format!("or_write_tree n={n} k={k}"),
                     move |m| or_write_tree(m, &input, k),
                     |o| &o.run,
@@ -80,7 +82,7 @@ fn read_trees_dense_matches_reference() {
         for n in [1usize, 5, 27, 100] {
             let input: Vec<Word> = (0..n as Word).map(|x| 2 * x - 9).collect();
             qsm_equiv(
-                QsmMachine::sqsm(2).with_tracing(),
+                QsmMachine::sqsm(2),
                 &format!("tree_reduce {op:?} n={n}"),
                 move |m| tree_reduce(m, &input, 3, op),
                 |o| &o.run,
@@ -99,14 +101,14 @@ fn prefix_and_broadcast_dense_match_reference() {
             }
             let input = input.clone();
             qsm_equiv(
-                QsmMachine::qsm(2).with_tracing(),
+                QsmMachine::qsm(2),
                 &format!("prefix n={n} p={p}"),
                 move |m| prefix_in_rounds(m, &input, p, ReduceOp::Sum),
                 |o| &o.run,
             );
         }
         qsm_equiv(
-            QsmMachine::sqsm(4).with_tracing(),
+            QsmMachine::sqsm(4),
             &format!("broadcast n={n}"),
             move |m| broadcast(m, 77, n, 4),
             |o| &o.run,
@@ -119,7 +121,7 @@ fn parity_helper_dense_matches_reference() {
     for n in [4usize, 16, 64] {
         let input = bits(n, 2);
         qsm_equiv(
-            QsmMachine::qsm(8).with_tracing(),
+            QsmMachine::qsm(8),
             &format!("parity_pattern_helper n={n}"),
             move |m| parity_pattern_helper(m, &input, 4),
             |o| &o.run,
@@ -148,8 +150,10 @@ fn lac_dart_dense_matches_reference() {
 
 #[test]
 fn qsm_fault_plans_dense_matches_reference() {
-    // Stalls perturb delivery timing; the scripted winner policy and the
-    // injected phase budget must be consumed identically on both paths.
+    // A machine with a fault plan runs on the reference engine on both
+    // sides, so this pins the routing: a fast engine that ignored the plan
+    // would answer differently. Stalls perturb delivery timing; the
+    // injected phase budget must still be honoured.
     let input = bits(64, 2);
     for plan in [
         FaultPlan::new(11).with_stall(0, 1).with_stall(3, 2),
@@ -167,11 +171,11 @@ fn qsm_fault_plans_dense_matches_reference() {
     // Read tree, fan-in 4 over 64 bits: pids 0..15 read at phase 0 and
     // write at 1, pids 16..19 read at 2 and write at 3, pid 20 reads at 4.
     // Plan 14: pid 5 holds its 4 deliveries through two stalls while its
-    // neighbours consume theirs, and the level-2 readers of phase 2 get
-    // fresh slots behind its carried slice. Plan 16: pid 0 writes its
-    // (nonzero) parity late, at phase 3, into a cell pid 16 read at phase
-    // 2; pid 16 is then carried through phases 3 and 4 and must still see
-    // the value it read, not the later write.
+    // neighbours consume theirs, and the level-2 readers of phase 2 read
+    // meanwhile. Plan 16: pid 0 writes its (nonzero) parity late, at phase
+    // 3, into a cell pid 16 read at phase 2; pid 16 then stalls through
+    // phases 3 and 4 and must still see the value it read, not the later
+    // write.
     for plan in [
         FaultPlan::new(14).with_stall(5, 1).with_stall(5, 2),
         FaultPlan::new(16)
@@ -189,7 +193,7 @@ fn qsm_fault_plans_dense_matches_reference() {
         );
     }
     // Pattern helper, k = 4: checker 1 of team 0 (its bit matches, so it
-    // never writes) is carried twice, and verifier 4 holds its team cell
+    // never writes) stalls twice, and verifier 4 holds its team cell
     // across a stall before deciding.
     let helper_input = bits(16, 2);
     qsm_equiv(
@@ -213,9 +217,9 @@ fn gsm_trees_dense_match_reference() {
         for n in [1usize, 16, 70] {
             let input = bits(n, 2);
             let machine = GsmMachine::new(alpha, beta, gamma);
-            let dense = gsm_tree_reduce(&machine.clone().with_tracing(), &input, 3, ReduceOp::Sum);
+            let dense = gsm_tree_reduce(&machine, &input, 3, ReduceOp::Sum);
             let reference = gsm_tree_reduce(
-                &machine.clone().with_tracing().with_reference_routing(),
+                &machine.clone().with_reference_routing(),
                 &input,
                 3,
                 ReduceOp::Sum,
@@ -236,15 +240,17 @@ fn gsm_trees_dense_match_reference() {
 
 #[test]
 fn gsm_fault_plans_dense_match_reference() {
+    // Both sides run on the reference engine (a fault plan is attached),
+    // so this pins the routing and the spec engine's stall semantics.
     // Fan-in-8 tree over 64 cells: pids 0..63 are leaves (read at phase
     // 0, write at 1), 64..71 the level-1 nodes (read at 2, write at 3) and
     // 72 the root (read at 4, write at 5). In plan 31, leaves 0 and 5
-    // stall between their read and their write, leaf 0 twice, so their
-    // cell contents are carried while nodes 65..71 read fresh ones; each
+    // stall between their read and their write, leaf 0 twice, so they
+    // hold their cell contents while nodes 65..71 read fresh ones; each
     // parent stalls until its late children have written, so no
     // information is lost. In plan 34, leaf 1 writes after node 64 read
-    // their cell, and node 64's contents are carried through two stalls:
-    // it must deliver what it read, so the root misses leaf 1's 1.
+    // their cell, and node 64 holds its contents through two stalls: it
+    // must deliver what it read, so the root misses leaf 1's 1.
     let input: Vec<Word> = (0..64).collect();
     let all = input.iter().sum::<Word>();
     for (plan, sum) in [
@@ -378,14 +384,14 @@ fn far_addresses_dense_match_reference() {
                 assert_eq!(run.ledger.phases()[0].kappa, 2, "far reads queue");
             }
             qsm_equiv(
-                QsmMachine::qsm(2).with_tracing(),
+                QsmMachine::qsm(2),
                 &format!("far={far} mode={mode}"),
                 move |m| m.run(&prog, &[]),
                 |r| r,
             );
 
             let prog = far_gsm_program(far, mode);
-            let machine = GsmMachine::new(1, 1, 1).with_tracing();
+            let machine = GsmMachine::new(1, 1, 1);
             let dense = machine.run(&prog, &[]);
             let reference = machine.with_reference_routing().run(&prog, &[]);
             assert_eq!(
@@ -413,9 +419,9 @@ fn bsp_families_pooled_match_reference() {
         let machine = BspMachine::new(p, 2, 8).unwrap();
         let input: Vec<Word> = (0..23).collect();
 
-        let d = bsp_reduce(&machine.clone().with_tracing(), &input, 2, ReduceOp::Sum).unwrap();
+        let d = bsp_reduce(&machine, &input, 2, ReduceOp::Sum).unwrap();
         let r = bsp_reduce(
-            &machine.clone().with_tracing().with_reference_routing(),
+            &machine.clone().with_reference_routing(),
             &input,
             2,
             ReduceOp::Sum,
@@ -442,6 +448,9 @@ fn bsp_families_pooled_match_reference() {
     }
 }
 
+/// A faulted machine runs on the reference engine on both sides: this pins
+/// the routing, since a pooled engine that ignored the plan would answer
+/// differently.
 #[test]
 fn bsp_fault_plans_pooled_match_reference() {
     let machine = BspMachine::new(6, 2, 4).unwrap();
@@ -543,9 +552,9 @@ proptest! {
         let prog = random_schedule(n_procs, n_phases, reqs);
         let input: Vec<Word> = (0..8).collect();
         for machine in [
-            QsmMachine::qsm(g).with_tracing(),
+            QsmMachine::qsm(g),
             QsmMachine::sqsm(g),
-            QsmMachine::qsm_unit_cr(g).with_trace_cap(2).with_tracing(),
+            QsmMachine::qsm_unit_cr(g),
         ] {
             let dense = machine.run(&prog, &input);
             let reference = machine.with_reference_routing().run(&prog, &input);

@@ -147,14 +147,11 @@ fn memory_limit_is_enforced() {
         1,
         |_| (),
         |_, _, env: &mut PhaseEnv<'_>| {
-            env.write(1 << 20, 1);
+            env.write(1 << 34, 1);
             Status::Done
         },
     );
-    let err = QsmMachine::qsm(1)
-        .with_mem_limit(1 << 10)
-        .run(&prog, &[])
-        .unwrap_err();
+    let err = QsmMachine::qsm(1).run(&prog, &[]).unwrap_err();
     assert!(matches!(err, ModelError::MemoryLimitExceeded { .. }));
 }
 

@@ -6,7 +6,7 @@
 
 use parbounds_models::{
     BspFnProgram, BspMachine, FaultPlan, FnProgram, GsmEnv, GsmFnProgram, GsmMachine, ModelError,
-    QsmMachine, Status, Word, DEFAULT_MEM_LIMIT,
+    PhaseEnv, QsmMachine, Status, Superstep, Word, DEFAULT_MEM_LIMIT,
 };
 
 /// The default limit shared by all engines.
@@ -129,7 +129,6 @@ fn gsm_far_write(addr: usize) -> impl parbounds_models::GsmProgram<Proc = ()> {
 #[test]
 fn gsm_writes_stop_at_the_shared_address_limit() {
     assert_eq!(DEFAULT_MEM_LIMIT, 1 << 34);
-    assert_eq!(QsmMachine::qsm(4).mem_limit(), DEFAULT_MEM_LIMIT);
     let machine = GsmMachine::new(1, 1, 1);
     for m in [machine.clone(), machine.with_reference_routing()] {
         let err = m.run(&gsm_far_write(1 << 34), &[]).unwrap_err();
@@ -159,4 +158,66 @@ fn dense_engines_refuse_more_processors_than_u32_pids() {
     let gsm = GsmFnProgram::new(n, |_pid| (), |_pid, _s: &mut (), _env| Status::Done);
     let err = GsmMachine::new(1, 1, 1).run(&gsm, &[]).unwrap_err();
     assert!(matches!(err, ModelError::BadConfig(_)), "{err:?}");
+}
+
+/// Active for phases 0 and 1, done in phase 2: a three-phase run.
+fn third_phase_status(phase: usize) -> Status {
+    if phase < 2 {
+        Status::Active
+    } else {
+        Status::Done
+    }
+}
+
+#[test]
+fn qsm_trace_past_the_phase_cap_is_truncated() {
+    let prog = FnProgram::new(
+        1,
+        |_pid| (),
+        |_pid, _s: &mut (), env: &mut PhaseEnv<'_>| {
+            env.write(env.phase(), 1);
+            third_phase_status(env.phase())
+        },
+    );
+    let machine = QsmMachine::qsm(2).with_trace_cap(2).with_tracing();
+    let trace = machine.run(&prog, &[]).unwrap().trace.expect("traced run");
+    assert_eq!(trace.phases.len(), 2);
+    assert_eq!(trace.total_phases, 3);
+    assert!(trace.truncated);
+}
+
+#[test]
+fn gsm_trace_past_the_phase_cap_is_truncated() {
+    let prog = GsmFnProgram::new(
+        1,
+        |_pid| (),
+        |_pid, _s: &mut (), env: &mut GsmEnv<'_>| {
+            env.write(env.phase(), 1);
+            third_phase_status(env.phase())
+        },
+    );
+    let machine = GsmMachine::new(1, 1, 1).with_trace_cap(2).with_tracing();
+    let trace = machine.run(&prog, &[]).unwrap().trace.expect("traced run");
+    assert_eq!(trace.phases.len(), 2);
+    assert_eq!(trace.total_phases, 3);
+    assert!(trace.truncated);
+}
+
+#[test]
+fn bsp_trace_past_the_step_cap_is_truncated() {
+    let prog = BspFnProgram::new(
+        |_pid, _local: &[Word]| (),
+        |pid, _s: &mut (), ctx: &mut Superstep<'_>| {
+            ctx.send(1 - pid, 0, ctx.step() as Word);
+            third_phase_status(ctx.step())
+        },
+    );
+    let machine = BspMachine::new(2, 1, 1)
+        .unwrap()
+        .with_trace_cap(2)
+        .with_tracing();
+    let trace = machine.run(&prog, &[]).unwrap().trace.expect("traced run");
+    assert_eq!(trace.steps.len(), 2);
+    assert_eq!(trace.total_steps, 3);
+    assert!(trace.truncated);
 }
